@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the hot real-computation primitives:
-// crc32c (every message pays it), bufferlist rope operations, and the
-// denc-style encoding. These run in real time (no simulation involved).
+// crc32c (every message pays it; the run-time-selected and the software
+// kernel), bufferlist rope operations, and the denc-style encoding. These
+// run in real time (no simulation involved).
 #include <benchmark/benchmark.h>
 
 #include "common/buffer.h"
@@ -14,18 +15,25 @@ namespace {
 
 using namespace doceph;
 
-void BM_Crc32c(benchmark::State& state) {
+void run_crc(benchmark::State& state,
+             std::uint32_t (*fn)(std::uint32_t, const void*, std::size_t) noexcept) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<char> buf(n, 'x');
   std::uint32_t crc = 0;
   for (auto _ : state) {
-    crc = crc32c(crc, buf.data(), n);
+    crc = fn(crc, buf.data(), n);
     benchmark::DoNotOptimize(crc);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
+
+void BM_Crc32c(benchmark::State& state) { run_crc(state, crc32c); }
 BENCHMARK(BM_Crc32c)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// The portable slice-by-8 kernel: the fallback on CPUs without SSE4.2.
+void BM_Crc32cSoftware(benchmark::State& state) { run_crc(state, crc32c_sw); }
+BENCHMARK(BM_Crc32cSoftware)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_BufferListAppend(benchmark::State& state) {
   const Slice chunk = Slice::copy_of(std::string(4096, 'a'));

@@ -6,12 +6,13 @@
 //
 // With --repeats N > 1 the DoCeph lap is re-run under N distinct universe
 // seeds and the per-repeat p99 latency and host-CPU cores are recorded in
-// a "doceph_variance" block. Measured characterization: the virtual-clock
-// sim is fully deterministic and this workload consumes no seed-dependent
-// randomness, so seed-to-seed rel_spread is exactly 0 — any gate trip is
-// a real code-induced regression, never noise. The default margins are
-// therefore pure headroom for intentional perf-relevant changes (a
-// baseline refresh is the answer when one lands, not a wider gate).
+// a "doceph_variance" block. The sim is NOT yet deterministic: threads the
+// keeper wakes together race on real OS scheduling, so the spread is not 0.
+// Three same-seed `--repeats 3` runs on a 4-core x86 box measured a p99
+// rel_spread of 0.005, 0.113 and 0.043, and sharded-lap ops/s ranging over
+// 2578-2781. A gate trip can therefore be drift as well as a regression;
+// ROADMAP.md item 1 (a baton-passing keeper) is the fix. The default
+// margins stay as they are until then.
 //
 //   perf_smoke --out BENCH_pr.json [--baseline BENCH_baseline.json]
 //              [--threshold 0.20] [--p99-threshold 0.30]

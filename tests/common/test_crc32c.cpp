@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -45,17 +46,51 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
 }
 
 TEST(Crc32c, UnalignedStartMatches) {
-  // Ensure the slice-by-8 alignment preamble is correct.
+  // Every start alignment must give the same value as an aligned copy and
+  // as the software reference (both kernels have an alignment preamble).
   std::vector<unsigned char> buf(64 + 8);
   for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<unsigned char>(i * 7 + 3);
-  const std::uint32_t ref = crc32c(buf.data(), 64);
   for (std::size_t off = 1; off < 8; ++off) {
     std::vector<unsigned char> copy(buf.begin() + static_cast<long>(off),
                                     buf.begin() + static_cast<long>(off) + 64);
-    std::uint32_t a = crc32c(copy.data(), 64);
-    std::uint32_t b = crc32c(buf.data() + off, 64);
-    EXPECT_EQ(a, b) << "offset " << off;
-    (void)ref;
+    const std::uint32_t ref = crc32c_sw(0, copy.data(), 64);
+    EXPECT_EQ(crc32c(copy.data(), 64), ref) << "offset " << off;
+    EXPECT_EQ(crc32c(buf.data() + off, 64), ref) << "offset " << off;
+  }
+}
+
+// The run-time-selected kernel against the slice-by-8 reference, at every
+// start alignment and at lengths around each of the hardware kernel's block
+// boundaries (3x256 and 3x8192 lane blocks, 8-byte words, byte tail), and
+// chained across splits that fall inside a lane block.
+TEST(Crc32c, MatchesSoftwareReference) {
+  constexpr std::size_t kShort = 3 * 256;
+  constexpr std::size_t kLong = 3 * 8192;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (std::size_t n = kShort - 8; n <= kShort + 8; ++n) lengths.push_back(n);
+  for (std::size_t n = kLong - 8; n <= kLong + 8; ++n) lengths.push_back(n);
+  lengths.push_back((1u << 20) + 3);
+
+  std::mt19937_64 rng(20240917);
+  std::vector<unsigned char> buf((1u << 20) + 3 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t len : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const auto seed = static_cast<std::uint32_t>(rng());
+      const unsigned char* p = buf.data() + off;
+      ASSERT_EQ(crc32c(seed, p, len), crc32c_sw(seed, p, len))
+          << "len " << len << " offset " << off << " seed " << seed;
+    }
+  }
+
+  const std::size_t len = (1u << 20) + 3;
+  const std::uint32_t whole = crc32c_sw(0, buf.data(), len);
+  for (std::size_t split : {std::size_t{100}, std::size_t{8192 + 5},
+                            std::size_t{3 * 8192 + 300}, len - 1}) {
+    const std::uint32_t head = crc32c(buf.data(), split);
+    EXPECT_EQ(crc32c(head, buf.data() + split, len - split), whole)
+        << "split at " << split;
   }
 }
 
