@@ -50,6 +50,12 @@ Rules (each finding prints as `path:line: [rule] message`):
                   when the code is added, not when someone finally reads
                   the log.
 
+  proxy-op-sent   An `enum class ProxyOp` enumerator that nothing in src/
+                  references outside proxy_protocol.h and `case ProxyOp::X:`
+                  labels. A protocol op nobody sends is dead wire surface
+                  (a host handler for a request that never arrives) — it
+                  fails lint instead of lingering.
+
 Modes:
   doceph_lint.py                  lint the tree (src/ tests/ bench/ examples/,
                                   minus tests/lint/ fixtures); exit 1 on any
@@ -135,6 +141,13 @@ ERRC_NAME_IMPL = "src/common/status.cpp"
 ERRC_ENUM_RE = re.compile(r"\benum\s+class\s+Errc\b")
 ERRC_ENUMERATOR_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:=\s*[^,]*)?,?\s*$")
 ERRC_CASE_RE = re.compile(r"\bcase\s+Errc::([a-z_][a-z0-9_]*)\s*:")
+
+# proxy-op-sent: the enum lives in proxy_protocol.h; a "send" is any
+# ProxyOp::X reference that is not a case label.
+PROXY_OP_HEADER = "src/proxy/proxy_protocol.h"
+PROXY_OP_ENUM_RE = re.compile(r"\benum\s+class\s+ProxyOp\b")
+PROXY_OP_REF_RE = re.compile(r"\bProxyOp::([a-z_][a-z0-9_]*)")
+PROXY_OP_CASE_RE = re.compile(r"\bcase\s+ProxyOp::([a-z_][a-z0-9_]*)\s*:")
 
 
 class Finding:
@@ -319,14 +332,15 @@ def lint_shard_bounds(paths):
     return findings
 
 
-def collect_errc_enumerators(path: Path):
-    """Enumerators of `enum class Errc` in `path`: [(name, line)]."""
+def collect_enumerators(path: Path, enum_re: re.Pattern):
+    """Enumerators of the enum whose head matches `enum_re` in `path`:
+    [(name, line)]."""
     out = []
     in_enum = False
     for lineno, raw in enumerate(path.read_text(errors="replace").splitlines(), 1):
         code = strip_line_comment(raw)
         if not in_enum:
-            if ERRC_ENUM_RE.search(code):
+            if enum_re.search(code):
                 in_enum = True
             continue
         if "}" in code:
@@ -343,13 +357,34 @@ def lint_errc_names(enum_path: Path, impl_path: Path):
     if not enum_path.is_file() or not impl_path.is_file():
         return findings
     named = set(ERRC_CASE_RE.findall(impl_path.read_text(errors="replace")))
-    for name, lineno in collect_errc_enumerators(enum_path):
+    for name, lineno in collect_enumerators(enum_path, ERRC_ENUM_RE):
         if name not in named:
             findings.append(Finding(
                 enum_path, lineno, "errc-to-string",
                 f'Errc::{name} has no "case Errc::{name}:" in errc_name() '
                 f"({rel(impl_path)}); it would print as a raw integer in "
                 "every Status::to_string() and throttle log"))
+    return findings
+
+
+def lint_proxy_ops_sent(enum_path: Path, ref_paths):
+    """Rule proxy-op-sent: every ProxyOp enumerator must be referenced in
+    `ref_paths` by something other than a case label."""
+    findings: list[Finding] = []
+    if not enum_path.is_file():
+        return findings
+    sent: set[str] = set()
+    for path in ref_paths:
+        for raw in path.read_text(errors="replace").splitlines():
+            code = PROXY_OP_CASE_RE.sub("", strip_line_comment(raw))
+            sent.update(PROXY_OP_REF_RE.findall(code))
+    for name, lineno in collect_enumerators(enum_path, PROXY_OP_ENUM_RE):
+        if name not in sent:
+            findings.append(Finding(
+                enum_path, lineno, "proxy-op-sent",
+                f"ProxyOp::{name} is never sent: nothing outside "
+                f"{PROXY_OP_HEADER} references it except case labels; "
+                "delete the op and its handler"))
     return findings
 
 
@@ -382,6 +417,10 @@ def run_default() -> int:
     findings.extend(lint_counter_ranges([p for p in files if rel(p).startswith("src/")]))
     findings.extend(lint_shard_bounds(files))
     findings.extend(lint_errc_names(REPO / ERRC_ENUM_HEADER, REPO / ERRC_NAME_IMPL))
+    findings.extend(lint_proxy_ops_sent(
+        REPO / PROXY_OP_HEADER,
+        [p for p in files
+         if rel(p).startswith("src/") and rel(p) != PROXY_OP_HEADER]))
     for f in findings:
         print(f)
     if findings:
@@ -412,6 +451,7 @@ def run_self_test(fixture_dir: Path) -> int:
         findings.extend(lint_shard_bounds([path]))
         # Self-contained errc fixtures carry both the enum and the switch.
         findings.extend(lint_errc_names(path, path))
+        findings.extend(lint_proxy_ops_sent(path, [path]))
         got = {f.rule for f in findings}
         for rule in expected:
             if rule in got:

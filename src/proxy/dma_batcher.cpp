@@ -1,5 +1,8 @@
 #include "proxy/dma_batcher.h"
 
+#include <cassert>
+#include <optional>
+
 #include "common/logger.h"
 #include "proxy/proxy_object_store.h"
 #include "proxy/proxy_protocol.h"
@@ -12,14 +15,13 @@ struct DmaBatcher::BatchState {
   std::vector<Status> statuses;
   std::size_t remaining = 0;
   int slot = -1;
-  sim::Time submit = 0;
   trace::Span span;
 };
 
 DmaBatcher::DmaBatcher(sim::Env& env, dpu::DpuDevice& dpu, SlotPool& slots,
                        RpcChannel& rpc, FallbackManager& fallback,
-                       perf::PerfCountersRef counters, DmaBatchConfig cfg,
-                       double stage_copy_ns_per_byte, std::string name)
+                       perf::PerfCountersRef counters, const ProxyConfig& cfg,
+                       std::string name)
     : env_(env),
       dpu_(dpu),
       slots_(slots),
@@ -27,14 +29,13 @@ DmaBatcher::DmaBatcher(sim::Env& env, dpu::DpuDevice& dpu, SlotPool& slots,
       fallback_(fallback),
       counters_(std::move(counters)),
       cfg_(cfg),
-      stage_copy_ns_per_byte_(stage_copy_ns_per_byte),
       name_(std::move(name)),
       cv_(env.keeper(), "proxy.dma_batcher_cv") {}
 
 DmaBatcher::~DmaBatcher() { stop(); }  // NOLINT(bugprone-exception-escape): teardown must complete; a throw terminates, by design
 
 void DmaBatcher::start() {
-  if (started_) return;
+  if (started_ || !cfg_.dma_batch.enabled) return;
   {
     const dbg::LockGuard lk(m_);
     stopping_ = false;
@@ -55,24 +56,28 @@ void DmaBatcher::stop() {
   started_ = false;
 }
 
-bool DmaBatcher::enqueue(BufferList& seg, std::uint64_t token,
+void DmaBatcher::enqueue(BufferList seg, std::uint64_t token,
                          std::uint32_t seg_index,
-                         const trace::TraceContext& ctx, DoneCb done) {
-  const std::size_t len = seg.length();
-  if (len == 0 || len > slots_.slot_size()) return false;
-  const dbg::LockGuard lk(m_);
-  if (stopping_) return false;
+                         const trace::TraceContext& ctx, bool solo,
+                         DoneCb done) {
+  assert(!seg.empty() && seg.length() <= slots_.slot_size());
   Entry e;
   e.seg = std::move(seg);
   e.token = token;
   e.seg_index = seg_index;
   e.trace = ctx;
   e.done = std::move(done);
-  e.enqueued = env_.now();
-  q_bytes_ += len;
+  e.stamps.enqueued = env_.now();
+  if (solo || !cfg_.dma_batch.enabled) {
+    std::vector<Entry> one;
+    one.push_back(std::move(e));
+    flush(std::move(one));
+    return;
+  }
+  const dbg::LockGuard lk(m_);
+  q_bytes_ += e.seg.length();
   q_.push_back(std::move(e));
   cv_.notify_all();
-  return true;
 }
 
 void DmaBatcher::loop() {
@@ -88,18 +93,19 @@ void DmaBatcher::loop() {
       if (!stopping_) {
         // Deadline coalescing: hold the oldest segment at most flush_delay,
         // flushing early once the batch fills a slot or max_segments.
-        const sim::Time deadline = q_.front().enqueued + cfg_.flush_delay;
+        const sim::Time deadline =
+            q_.front().stamps.enqueued + cfg_.dma_batch.flush_delay;
         (void)cv_.wait_until(lk, deadline, [&] {
           m_.assert_held();
           return stopping_ ||
-                 static_cast<int>(q_.size()) >= cfg_.max_segments ||
+                 static_cast<int>(q_.size()) >= cfg_.dma_batch.max_segments ||
                  q_bytes_ >= slots_.slot_size();
         });
       }
       // Greedy prefix that shares one slot (order-preserving).
       std::size_t bytes = 0;
       while (!q_.empty() &&
-             static_cast<int>(batch.size()) < cfg_.max_segments) {
+             static_cast<int>(batch.size()) < cfg_.dma_batch.max_segments) {
         const std::size_t n = q_.front().seg.length();
         if (!batch.empty() && bytes + n > slots_.slot_size()) break;
         bytes += n;
@@ -118,7 +124,8 @@ void DmaBatcher::loop() {
     if (stall.fired) {
       counters_->inc(l_dpu_batch_stalls);
       const sim::Time until =
-          env_.now() + (stall.delay_ns > 0 ? stall.delay_ns : cfg_.flush_delay);
+          env_.now() + (stall.delay_ns > 0 ? stall.delay_ns
+                                        : cfg_.dma_batch.flush_delay);
       dbg::UniqueLock lk(m_);
       (void)cv_.wait_until(lk, until, [&] {
         m_.assert_held();
@@ -131,8 +138,32 @@ void DmaBatcher::loop() {
 
 void DmaBatcher::flush(std::vector<Entry> batch) {
   // One slot hosts the whole batch; blocked time counts toward each
-  // member's batching wait (enqueue -> submit).
-  const int slot = slots_.acquire();
+  // member's DMA-wait. With a deadline configured, starvation throttles
+  // every member instead of wedging this thread behind a saturated DMA
+  // pipeline.
+  const std::optional<int> got =
+      cfg_.slot_acquire_timeout > 0
+          ? slots_.acquire_for(cfg_.slot_acquire_timeout)
+          : std::optional<int>(slots_.acquire());
+  const sim::Time acquired = env_.now();
+  for (auto& e : batch) e.stamps.acquired = acquired;
+  if (!got) {
+    const Status throttled(Errc::throttled,
+                           "DPU staging slots exhausted past deadline");
+    for (auto& e : batch) e.done(throttled, e.stamps);
+    return;
+  }
+  const int slot = *got;
+
+  if (!cfg_.mr_cache) {
+    // Without the MR cache each transfer renegotiates its memory region
+    // over the CommChannel: one round trip, holding the slot.
+    BufferList ping;
+    encode(ProxyOp::ping, ping);
+    const auto r = rpc_.call(std::move(ping), cfg_.rpc_timeout);
+    if (!r.ok() && r.status().code() == Errc::timed_out)
+      counters_->inc(l_dpu_rpc_timeout);
+  }
 
   std::size_t total = 0;
   for (auto& e : batch) total += e.seg.length();
@@ -147,10 +178,9 @@ void DmaBatcher::flush(std::vector<Entry> batch) {
       break;
     }
   }
-  const sim::Time first_enqueue = batch.front().enqueued;
   auto bs = std::make_shared<BatchState>(
-      env_.tracer().span("dpu.batch", "dpu." + name_, parent, first_enqueue,
-                         batch.size()));
+      env_.tracer().span("dpu.batch", "dpu." + name_, parent,
+                         batch.front().stamps.enqueued, batch.size()));
 
   // Stage every payload at its running offset in the slot and describe the
   // layout as scatter-gather extents (one engine pass for the lot).
@@ -165,7 +195,7 @@ void DmaBatcher::flush(std::vector<Entry> batch) {
     const doca::Buf src{src_base.mmap, src_base.off + off, n};
     const doca::Buf dst{dst_base.mmap, dst_base.off + off, n};
     e.seg.copy_out(0, n, src.data());
-    dpu_.cpu().charge(static_cast<sim::Duration>(stage_copy_ns_per_byte_ *
+    dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
                                                  static_cast<double>(n)));
     extents.push_back(doca::DmaExtent{src, dst});
     off += n;
@@ -176,7 +206,8 @@ void DmaBatcher::flush(std::vector<Entry> batch) {
   counters_->inc(l_dpu_batch_bytes, total);
   counters_->rec(l_dpu_batch_fill, batch.size());
 
-  bs->submit = env_.now();
+  const sim::Time submit = env_.now();
+  for (auto& e : batch) e.stamps.submit = submit;
   bs->statuses.assign(batch.size(), Status::OK());
   bs->remaining = batch.size();
   bs->slot = slot;
@@ -193,16 +224,20 @@ void DmaBatcher::flush(std::vector<Entry> batch) {
   if (!submitted.ok()) {
     // The whole batch never reached the engine; members fall back to the
     // RPC path via their owners' any_failed machinery.
-    fallback_.on_dma_failure(env_.now());
-    slots_.release(slot);
-    bs->span.end(env_.now());
     const sim::Time now = env_.now();
-    for (auto& e : bs->entries) e.done(submitted, bs->submit, now);
+    fallback_.on_dma_failure(now);
+    slots_.release(slot);
+    bs->span.end(now);
+    for (auto& e : bs->entries) {
+      e.stamps.dma_done = now;
+      e.done(submitted, e.stamps);
+    }
   }
 }
 
 void DmaBatcher::finish_batch(const std::shared_ptr<BatchState>& bs) {
-  // Per-extent failures resolve their members now; survivors ride one
+  // A batch fits one slot, hence one engine pass: every extent finished
+  // now. Per-extent failures resolve their members now; survivors ride one
   // stage_batch RPC and resolve on its ack (the host acks the batch as a
   // unit, so an ack error fails every surviving member).
   const sim::Time now = env_.now();
@@ -210,12 +245,13 @@ void DmaBatcher::finish_batch(const std::shared_ptr<BatchState>& bs) {
   msg.slot = static_cast<std::uint32_t>(bs->slot);
   std::vector<std::size_t> ok_members;
   for (std::size_t i = 0; i < bs->entries.size(); ++i) {
+    Entry& e = bs->entries[i];
+    e.stamps.dma_done = now;
     if (!bs->statuses[i].ok()) {
       fallback_.on_dma_failure(now);
-      bs->entries[i].done(bs->statuses[i], bs->submit, now);
+      e.done(bs->statuses[i], e.stamps);
       continue;
     }
-    const Entry& e = bs->entries[i];
     msg.entries.push_back(StageBatchEntry{
         .token = e.token,
         .seg_index = e.seg_index,
@@ -245,10 +281,11 @@ void DmaBatcher::finish_batch(const std::shared_ptr<BatchState>& bs) {
             st = Status(static_cast<Errc>(-res), "stage_batch host error");
         }
         slots_.release(bs->slot);
-        const sim::Time done_at = env_.now();
-        bs->span.end(done_at);
-        for (const std::size_t i : ok_members)
-          bs->entries[i].done(st, bs->submit, done_at);
+        bs->span.end(env_.now());
+        for (const std::size_t i : ok_members) {
+          Entry& e = bs->entries[i];
+          e.done(st, e.stamps);
+        }
       },
       bs->span.context());
 }

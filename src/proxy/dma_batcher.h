@@ -18,9 +18,12 @@
 
 namespace doceph::proxy {
 
-/// Knobs for the DPU-side segment coalescer. Disabled by default (unit
-/// tests exercise the legacy one-segment-per-slot path); cluster profiles
-/// enable it so the bench paths batch.
+struct ProxyConfig;
+
+/// Knobs for the DPU-side segment coalescer. Disabled by default: each
+/// segment then flushes alone on its write worker's thread (the paper's
+/// one-DMA-job-per-segment path, which Table 3's calibration encodes);
+/// RunSpec::batching turns it on for batched runs.
 struct DmaBatchConfig {
   bool enabled = false;
   int max_segments = 16;  ///< flush once this many segments queue
@@ -29,42 +32,56 @@ struct DmaBatchConfig {
   sim::Duration flush_delay = 150'000;
 };
 
-/// Coalesces small write segments from concurrent requests into one
-/// staging slot, one scatter-gather DMA pass, and one stage_batch RPC —
-/// amortizing the per-job DMA setup latency and the per-message comch
-/// doorbell across the batch (the small-IO analogue of the paper's
-/// segmentation pipeline, which only helps large writes). Segments larger
-/// than a slot, fallback/probe traffic, and the pipelining/mr_cache
-/// ablations stay on the legacy path.
+/// The one code path that stages and DMAs a write segment: a flush copies
+/// a batch of segments into one staging slot, moves them with one
+/// scatter-gather DMA pass and hands them to the host with one stage_batch
+/// RPC. With batching on, a coalescing thread packs small segments from
+/// concurrent requests into one flush, amortizing the per-job DMA setup
+/// latency and the per-message comch doorbell across the batch (the
+/// small-IO analogue of the paper's segmentation pipeline, which only
+/// helps large writes). With batching off, and for fallback probes, the
+/// caller's thread flushes its segment as a batch of one.
 class DmaBatcher {
  public:
-  /// Per-segment completion: `submit` is when the batch's DMA was issued
-  /// (enqueue -> submit is the segment's batching wait), `complete` when
-  /// the host acked the staged copy (or the failure time).
-  using DoneCb =
-      std::function<void(Status, sim::Time submit, sim::Time complete)>;
+  /// Per-segment stamps for Table 3: hand-off -> `acquired` (the flush got
+  /// its slot) is the segment's DMA-wait; `submit` is when the DMA was
+  /// issued; `dma_done` when the engine finished it (the end of the DMA
+  /// phase). On a slot-acquire timeout only `enqueued`/`acquired` are set.
+  struct Stamps {
+    sim::Time enqueued = 0;
+    sim::Time acquired = 0;
+    sim::Time submit = -1;
+    sim::Time dma_done = -1;
+  };
+  /// Fires once per segment, when the host acked the staged copy (or on
+  /// failure: the DMA error, or Errc::throttled when no slot freed up
+  /// within ProxyConfig::slot_acquire_timeout).
+  using DoneCb = std::function<void(Status, const Stamps&)>;
 
+  /// `cfg` is the owning proxy's configuration and must outlive the
+  /// batcher.
   DmaBatcher(sim::Env& env, dpu::DpuDevice& dpu, SlotPool& slots,
              RpcChannel& rpc, FallbackManager& fallback,
-             perf::PerfCountersRef counters, DmaBatchConfig cfg,
-             double stage_copy_ns_per_byte, std::string name);
+             perf::PerfCountersRef counters, const ProxyConfig& cfg,
+             std::string name);
   ~DmaBatcher();
 
   DmaBatcher(const DmaBatcher&) = delete;
   DmaBatcher& operator=(const DmaBatcher&) = delete;
 
+  /// Starts the coalescing thread when batching is enabled.
   void start();
   /// Drains queued segments (flushing them without further coalescing),
-  /// then joins the batcher thread. Call after the write workers have
-  /// drained and before the RPC channel detaches.
+  /// then joins the coalescing thread. Call after the write workers have
+  /// joined and before the RPC channel detaches.
   void stop();
 
-  /// Queue one segment of request `token`. On accept, `seg` is consumed
-  /// and `done` will fire exactly once. Returns false — leaving `seg`
-  /// intact — when batching is off, the batcher is stopped, or the segment
-  /// cannot share a slot; the caller then takes the legacy path.
-  bool enqueue(BufferList& seg, std::uint64_t token, std::uint32_t seg_index,
-               const trace::TraceContext& ctx, DoneCb done);
+  /// Stage and DMA one segment (at most a slot long) of request `token`;
+  /// `done` fires exactly once. With batching on and `solo` false the
+  /// segment queues for the coalescing thread; otherwise the caller's
+  /// thread flushes it as a batch of one before returning.
+  void enqueue(BufferList seg, std::uint64_t token, std::uint32_t seg_index,
+               const trace::TraceContext& ctx, bool solo, DoneCb done);
 
  private:
   struct Entry {
@@ -74,7 +91,7 @@ class DmaBatcher {
     std::uint32_t off_in_slot = 0;
     trace::TraceContext trace;
     DoneCb done;
-    sim::Time enqueued = 0;
+    Stamps stamps;
   };
   /// Shared fan-in state of one in-flight batch: per-extent statuses
   /// collected from the scatter-gather job, then the single stage_batch
@@ -91,8 +108,7 @@ class DmaBatcher {
   RpcChannel& rpc_;
   FallbackManager& fallback_;
   perf::PerfCountersRef counters_;
-  DmaBatchConfig cfg_;
-  double stage_copy_ns_per_byte_;
+  const ProxyConfig& cfg_;
   std::string name_;
 
   dbg::Mutex m_{"proxy.dma_batcher"};

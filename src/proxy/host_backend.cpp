@@ -98,17 +98,12 @@ void HostBackendService::handle_request(BufferList req, bool oneway,
       case ProxyOp::submit_txn:
         do_submit_txn(body, respond, ctx);
         break;
-      case ProxyOp::stage_segment:
-        do_stage_segment(body, respond);
-        break;
       case ProxyOp::stage_batch:
         do_stage_batch(body, respond, ctx);
         break;
       case ProxyOp::read_obj:
         do_read(body, respond);
         break;
-      case ProxyOp::release_slots:
-        break;  // slot bookkeeping lives on the DPU side; nothing to do here
       case ProxyOp::abort_txn: {
         // The DPU gave up on this request (throttled abort): drop whatever
         // it had already staged so the token's write buffer doesn't leak.
@@ -126,30 +121,6 @@ void HostBackendService::handle_request(BufferList req, bool oneway,
     }
   });
   queue_cv_.notify_one();
-}
-
-void HostBackendService::do_stage_segment(BufferList body,
-                                          const RpcChannel::Responder& respond) {
-  StageSegment seg;
-  BufferList::Cursor cur(body);
-  if (!seg.decode(cur) || static_cast<std::size_t>(seg.len) > slot_size_) {
-    if (respond) respond(encode_to_bl(std::int32_t{
-        -static_cast<std::int32_t>(Errc::corrupt)}));
-    return;
-  }
-  // Copy out of the shared DMA region into this request's write buffer so
-  // the slot can recycle immediately (Fig. 4's staging -> write buffer hop).
-  const std::size_t off = static_cast<std::size_t>(seg.slot) * slot_size_;
-  BufferList copy;
-  copy.append(host_mmap_->data() + off, seg.len);
-  domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
-                                            static_cast<double>(seg.len)));
-  dma_bytes_.fetch_add(seg.len, std::memory_order_relaxed);
-  {
-    const dbg::LockGuard lk(staged_mutex_);
-    staged_[seg.token][seg.seg_index] = std::move(copy);
-  }
-  if (respond) respond(encode_to_bl(std::int32_t{0}));
 }
 
 void HostBackendService::do_stage_batch(BufferList body,

@@ -55,14 +55,13 @@ class HostBackendService {
                       const trace::TraceContext& ctx);
   void do_submit_txn(BufferList body, const RpcChannel::Responder& respond,
                      const trace::TraceContext& ctx);
-  void do_stage_segment(BufferList body, const RpcChannel::Responder& respond);
   void do_stage_batch(BufferList body, const RpcChannel::Responder& respond,
                       const trace::TraceContext& ctx);
   void do_control(ProxyOp op, BufferList body, const RpcChannel::Responder& respond);
   void do_read(BufferList body, const RpcChannel::Responder& respond);
 
   /// Materialize one op's payload from its DataRefs (staged segments were
-  /// already copied out of the DMA slots by do_stage_segment).
+  /// already copied out of the DMA slots by do_stage_batch).
   BufferList assemble_payload(std::uint64_t token, const std::vector<DataRef>& refs);
 
   void worker_loop();

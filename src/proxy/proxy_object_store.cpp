@@ -50,12 +50,9 @@ ProxyObjectStore::~ProxyObjectStore() {  // NOLINT(bugprone-exception-escape): t
 Status ProxyObjectStore::mount() {
   rpc_.set_batch_config(cfg_.rpc_batch);
   rpc_.start(center_);
-  if (cfg_.dma_batch.enabled) {
-    batcher_ = std::make_unique<DmaBatcher>(
-        env_, dpu_, slots_, rpc_, fallback_, counters_, cfg_.dma_batch,
-        cfg_.stage_copy_ns_per_byte, dpu_.name());
-    batcher_->start();
-  }
+  batcher_ = std::make_unique<DmaBatcher>(env_, dpu_, slots_, rpc_, fallback_,
+                                          counters_, cfg_, dpu_.name());
+  batcher_->start();
   stopping_ = false;
   pump_thread_ = sim::Thread(env_.keeper(), env_.stats(), "dpu-proxy-ch",
                              &dpu_.cpu(), [this] { center_.run(); },
@@ -105,10 +102,8 @@ Status ProxyObjectStore::umount() {
   // The batcher outlives the workers (their in-flight segments complete
   // through it) but must stop while the channel pump can still deliver
   // stage_batch acks.
-  if (batcher_ != nullptr) {
-    batcher_->stop();
-    batcher_.reset();
-  }
+  batcher_->stop();
+  batcher_.reset();
   rpc_.detach();  // stop channel -> center dispatches before the center dies
   center_.stop();
   pump_thread_.join();
@@ -179,169 +174,61 @@ void ProxyObjectStore::write_worker(int idx) {
 DataRef ProxyObjectStore::move_segment(BufferList seg,
                                        const std::shared_ptr<SegCtx>& ctx) {
   const auto path = fallback_.choose(env_.now());
+  const auto seg_len = static_cast<std::uint32_t>(seg.length());
   if (path == FallbackManager::Path::rpc) {
-    rpc_fallback_bytes_.fetch_add(seg.length(), std::memory_order_relaxed);
-    counters_->inc(l_dpu_rpc_fallback_bytes, seg.length());
+    rpc_fallback_bytes_.fetch_add(seg_len, std::memory_order_relaxed);
+    counters_->inc(l_dpu_rpc_fallback_bytes, seg_len);
     DataRef ref;
     ref.kind = DataRef::Kind::inline_;
-    ref.len = static_cast<std::uint32_t>(seg.length());
+    ref.len = seg_len;
     ref.data = std::move(seg);
     return ref;
   }
 
-  // Coalesced fast path: hand the segment to the batcher, which packs it
-  // with companions from concurrent requests into one slot, one
-  // scatter-gather DMA pass, and one stage_batch RPC. Probe transfers and
-  // the pipelining/mr_cache ablations keep the legacy one-slot-per-segment
-  // path (the probe must exercise exactly the plain DMA machinery).
-  if (batcher_ != nullptr && cfg_.pipelining && cfg_.mr_cache &&
-      path == FallbackManager::Path::dma) {
-    const std::uint32_t seg_index = ctx->next_seg;
-    const auto seg_len = static_cast<std::uint32_t>(seg.length());
-    const sim::Time enq = env_.now();
-    {
-      const dbg::LockGuard lk(ctx->m);
-      ++ctx->outstanding;
-    }
-    auto done = [this, ctx, enq](Status st, sim::Time submit,
-                                 sim::Time complete) {
-      sim::Time prev = ctx->last_complete.load(std::memory_order_relaxed);
-      while (complete > prev &&
-             !ctx->last_complete.compare_exchange_weak(prev, complete)) {
-      }
-      const dbg::LockGuard lk(ctx->m);
-      if (ctx->first_submit < 0 || submit < ctx->first_submit)
-        ctx->first_submit = submit;
-      ctx->dma_wait += submit > enq ? submit - enq : 0;
-      if (!st.ok()) ctx->any_failed = true;
-      --ctx->outstanding;
-      ctx->cv.notify_all();
-    };
-    if (batcher_->enqueue(seg, ctx->token, seg_index, ctx->trace,
-                          std::move(done))) {
-      ctx->next_seg++;
-      dma_bytes_.fetch_add(seg_len, std::memory_order_relaxed);
-      counters_->inc(l_dpu_dma_bytes, seg_len);
-      DataRef ref;
-      ref.kind = DataRef::Kind::staged;
-      ref.index = seg_index;
-      ref.len = seg_len;
-      return ref;
-    }
-    // Rejected (oversized segment or batcher stopped): undo and fall
-    // through to the legacy path, which consumes `seg` itself.
-    const dbg::LockGuard lk(ctx->m);
-    --ctx->outstanding;
-    ctx->cv.notify_all();
-  }
-
-  // Acquire a paired staging/write buffer; blocked time is DMA-wait. With a
-  // deadline configured, starvation surfaces as a throttled txn instead of
-  // wedging this worker behind a saturated DMA pipeline.
-  const sim::Time w0 = env_.now();
-  int slot = -1;
-  if (cfg_.slot_acquire_timeout > 0) {
-    const auto acquired = slots_.acquire_for(cfg_.slot_acquire_timeout);
-    {
-      const dbg::LockGuard lk(ctx->m);
-      ctx->dma_wait += env_.now() - w0;
-    }
-    if (!acquired) {
-      counters_->inc(l_dpu_throttle_slot);
-      const dbg::LockGuard lk(ctx->m);
-      ctx->slot_timed_out = true;
-      DataRef ref;  // placeholder; process_write aborts the whole request
-      ref.kind = DataRef::Kind::inline_;
-      ref.len = static_cast<std::uint32_t>(seg.length());
-      ref.data = std::move(seg);
-      return ref;
-    }
-    slot = *acquired;
-  } else {
-    slot = slots_.acquire();
-    const dbg::LockGuard lk(ctx->m);
-    ctx->dma_wait += env_.now() - w0;
-  }
-
-  if (!cfg_.mr_cache) {
-    // Without the MR cache each transfer renegotiates its memory region
-    // over the CommChannel (one round trip).
-    (void)control_call(ProxyOp::ping, {});
-  }
-
-  // Stage: copy the payload into the DMA-capable buffer.
-  const std::uint32_t seg_index = ctx->next_seg++;
-  doca::Buf src = slots_.dpu_buf(slot, seg.length());
-  seg.copy_out(0, seg.length(), src.data());
-  dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
-                                               static_cast<double>(seg.length())));
-
-  doca::Buf dst = slots_.host_buf(slot, seg.length());
+  // Hand the segment to the batcher's flush: one slot, one DMA pass and
+  // one stage_batch RPC, shared with companions from concurrent requests
+  // when batching is on. A probe flushes alone on this thread so its
+  // outcome is its own. The done callback folds the segment's Table-3
+  // stamps into the request: DMA-wait runs from hand-off to slot
+  // acquisition, and the DMA phase ends at DMA completion.
   const bool probing = path == FallbackManager::Path::probe;
-  const auto seg_len = static_cast<std::uint32_t>(seg.length());
+  const std::uint32_t seg_index = ctx->next_seg++;
   {
     const dbg::LockGuard lk(ctx->m);
     ++ctx->outstanding;
-    if (ctx->first_submit < 0) ctx->first_submit = env_.now();
   }
-
-  auto finish_segment = [this, ctx, slot](bool failed) {
-    slots_.release(slot);
+  auto done = [this, ctx, seg_len, probing](Status st,
+                                            const DmaBatcher::Stamps& s) {
     const dbg::LockGuard lk(ctx->m);
-    if (failed) ctx->any_failed = true;
+    ctx->dma_wait += s.acquired - s.enqueued;
+    if (st.code() == Errc::throttled) {
+      // slot_acquire_timeout expired: process_write aborts the request.
+      counters_->inc(l_dpu_throttle_slot);
+      ctx->slot_timed_out = true;
+    } else {
+      dma_bytes_.fetch_add(seg_len, std::memory_order_relaxed);
+      counters_->inc(l_dpu_dma_bytes, seg_len);
+      // A clean probe re-enables DMA; the flush already reported a failed
+      // one to the fallback manager.
+      if (probing && st.ok()) fallback_.on_dma_success();
+      if (!st.ok()) ctx->any_failed = true;
+      if (ctx->first_submit < 0 || s.submit < ctx->first_submit)
+        ctx->first_submit = s.submit;
+      ctx->last_complete = std::max(ctx->last_complete, s.dma_done);
+    }
     --ctx->outstanding;
     ctx->cv.notify_all();
   };
-
-  const Status submitted = dpu_.dma().submit(
-      src, dst, doca::DmaDir::dpu_to_host,
-      [this, ctx, slot, seg_index, seg_len, probing,
-       finish_segment](Status st) {
-        ctx->last_complete.store(env_.now(), std::memory_order_relaxed);
-        if (!st.ok()) {
-          fallback_.on_dma_failure(env_.now());
-          finish_segment(true);
-          return;
-        }
-        if (probing) fallback_.on_dma_success();
-        // Hand the slot's content to the host's per-request write buffer;
-        // the slot recycles as soon as the host acks the copy (Fig. 4).
-        StageSegment msg{.token = ctx->token,
-                         .seg_index = seg_index,
-                         .slot = static_cast<std::uint32_t>(slot),
-                         .len = seg_len};
-        BufferList request;
-        encode(ProxyOp::stage_segment, request);
-        msg.encode(request);
-        rpc_.call_async(
-            std::move(request),
-            [finish_segment](Result<BufferList> r) {
-              bool failed = !r.ok();
-              if (r.ok()) {
-                BufferList::Cursor cur(*r);
-                std::int32_t res = 0;
-                failed = !decode(res, cur) || res != 0;
-              }
-              finish_segment(failed);
-            },
-            ctx->trace);
-      },
-      ctx->trace);
-  if (!submitted.ok()) {
-    fallback_.on_dma_failure(env_.now());
-    finish_segment(true);
-  } else {
-    dma_bytes_.fetch_add(seg.length(), std::memory_order_relaxed);
-    counters_->inc(l_dpu_dma_bytes, seg.length());
-    if (!cfg_.pipelining) {
-      // Ablation: strictly serial -- wait out this transfer (and its staging
-      // handoff) before touching the next segment.
-      dbg::UniqueLock lk(ctx->m);
-      ctx->cv.wait(lk, [&] {
-        ctx->m.assert_held();
-        return ctx->outstanding == 0;
-      });
-    }
+  batcher_->enqueue(std::move(seg), ctx->token, seg_index, ctx->trace, probing,
+                    std::move(done));
+  if (!cfg_.pipelining) {
+    // Ablation: strictly serial -- wait out this transfer (and its staging
+    // handoff) before touching the next segment.
+    dbg::UniqueLock lk(ctx->m);
+    ctx->cv.wait(lk, [&] {
+      ctx->m.assert_held();
+      return ctx->outstanding == 0;
+    });
   }
 
   DataRef ref;
@@ -406,6 +293,7 @@ void ProxyObjectStore::process_write(WriteReq req) {
   bool any_failed = false;
   bool slot_timed_out = false;
   sim::Time first_submit = -1;
+  sim::Time last_complete = -1;
   sim::Duration dma_wait = 0;
   {
     dbg::UniqueLock lk(ctx->m);
@@ -416,6 +304,7 @@ void ProxyObjectStore::process_write(WriteReq req) {
     any_failed = ctx->any_failed;
     slot_timed_out = ctx->slot_timed_out;
     first_submit = ctx->first_submit;
+    last_complete = ctx->last_complete;
     dma_wait = ctx->dma_wait;
   }
 
@@ -494,9 +383,8 @@ void ProxyObjectStore::process_write(WriteReq req) {
                          dma_bytes_this_request, dma_cfg.bw_bytes_per_sec));
     }
     std::uint64_t phase_wall = 0;
-    if (first_submit >= 0 && ctx->last_complete.load() > first_submit)
-      phase_wall =
-          static_cast<std::uint64_t>(ctx->last_complete.load() - first_submit);
+    if (first_submit >= 0 && last_complete > first_submit)
+      phase_wall = static_cast<std::uint64_t>(last_complete - first_submit);
     const std::uint64_t serialization =
         phase_wall > dma_transfer ? phase_wall - dma_transfer : 0;
 

@@ -27,9 +27,9 @@ enum {
   l_dpu_rpc_timeout,         ///< blocking RPCs that timed out (slot reclaimed)
   l_dpu_write_lat,           ///< enqueue -> host commit, ns histogram
   l_dpu_dma_wait,            ///< per-request DMA wait (slots + serialization)
-  l_dpu_batch_flushes,       ///< coalesced SG flushes (one slot+pass+RPC each)
-  l_dpu_batch_segments,      ///< segments that rode a coalesced flush
-  l_dpu_batch_bytes,         ///< payload bytes moved by coalesced flushes
+  l_dpu_batch_flushes,       ///< SG flushes (one slot+pass+RPC each)
+  l_dpu_batch_segments,      ///< segments that rode a flush
+  l_dpu_batch_bytes,         ///< payload bytes moved by flushes
   l_dpu_batch_stalls,        ///< flushes deferred by dpu.batch_flush_stall
   l_dpu_batch_fill,          ///< segments per flush, histogram
   l_dpu_throttle_queue,      ///< txns bounced: worker queue at max_worker_queue
@@ -50,7 +50,7 @@ struct ProxyConfig {
 
   /// Ablations (paper §3.3 design choices):
   bool pipelining = true;  ///< false: wait out each segment before staging the next
-  bool mr_cache = true;    ///< false: CommChannel negotiation round-trip per segment
+  bool mr_cache = true;    ///< false: CommChannel negotiation round trip per flush
 
   sim::Duration cooldown = 500'000'000;   ///< 500 ms DMA disable after an error
   sim::Duration rpc_timeout = 30'000'000'000;
@@ -61,7 +61,7 @@ struct ProxyConfig {
   /// Doorbell coalescing on the DPU endpoint of the proxy channel.
   RpcBatchConfig rpc_batch;
   /// Segment coalescing into scatter-gather DMA passes (small-write
-  /// amortization; engages only on the pipelined, MR-cached fast path).
+  /// amortization). Off: every segment flushes alone.
   DmaBatchConfig dma_batch;
 
   // ---- backpressure (OFF by default; paper sweeps unchanged) ------------
@@ -69,10 +69,10 @@ struct ProxyConfig {
   /// queue holds this many entries is completed immediately with
   /// Errc::throttled instead of enqueued. 0 = unbounded (legacy behavior).
   std::size_t max_worker_queue = 0;
-  /// Deadline for staging-slot acquisition on the legacy (non-batched) DMA
-  /// path; on expiry the txn fails with Errc::throttled so the throttle
-  /// propagates to the OSD/client instead of wedging a write worker.
-  /// 0 = block forever (legacy behavior).
+  /// Deadline for every flush's staging-slot acquisition, batched or not;
+  /// on expiry each txn in the flush fails with Errc::throttled so the
+  /// throttle propagates to the OSD/client instead of wedging a write
+  /// worker or the coalescing thread. 0 = block forever.
   sim::Duration slot_acquire_timeout = 0;
 };
 
@@ -176,14 +176,14 @@ class ProxyObjectStore final : public os::ObjectStore {
     dbg::CondVar cv;
     int outstanding DOCEPH_GUARDED_BY(m) = 0;
     bool any_failed DOCEPH_GUARDED_BY(m) = false;
-    /// slot_acquire_timeout expired on the legacy path: the request aborts
-    /// with Errc::throttled after draining whatever was already in flight.
+    /// slot_acquire_timeout expired for a segment: the request aborts with
+    /// Errc::throttled after draining whatever was already in flight.
     bool slot_timed_out DOCEPH_GUARDED_BY(m) = false;
+    // Table-3 stamps folded in by the segments' done callbacks: earliest
+    // DMA submit, latest DMA completion, summed hand-off -> slot wait.
     sim::Time first_submit DOCEPH_GUARDED_BY(m) = -1;
-    // Accumulated batching/slot wait: mutated by the worker (legacy path)
-    // and by batch completion callbacks, so it lives under m.
+    sim::Time last_complete DOCEPH_GUARDED_BY(m) = -1;
     sim::Duration dma_wait DOCEPH_GUARDED_BY(m) = 0;
-    std::atomic<sim::Time> last_complete{-1};
     // token/next_seg/trace are touched only by the owning write worker
     // before any callback can observe them.
     std::uint64_t token = 0;
@@ -191,8 +191,10 @@ class ProxyObjectStore final : public os::ObjectStore {
     trace::TraceContext trace;  ///< the op's context, for per-segment DMA spans
   };
 
-  /// Move one payload chunk to the host, honoring fallback state. Returns
-  /// the DataRef to embed; slot release happens from the stage-ack callback.
+  /// Move one payload chunk to the host: inline over RPC while the fallback
+  /// cooldown disables DMA, otherwise through the batcher's flush. Returns
+  /// the DataRef to embed; the segment resolves through its done callback,
+  /// which process_write drains before shipping the transaction.
   DataRef move_segment(BufferList seg, const std::shared_ptr<SegCtx>& ctx);
 
   Result<BufferList> control_call(ProxyOp op, const BufferList& body);

@@ -17,21 +17,19 @@ enum class ProxyOp : std::uint8_t {
   ping = 1,
   submit_txn = 2,
   read_obj = 3,
-  stage_segment = 11,  ///< one DMA'd segment is ready in a write-buffer slot
-  stage_batch = 12,    ///< a coalesced batch of segments landed in one slot
+  stage_batch = 12,  ///< a flush's segments landed in one write-buffer slot
   stat = 4,
   exists = 5,
   omap_get = 6,
   list_objects = 7,
   list_collections = 8,
   coll_exists = 9,
-  release_slots = 10,  ///< oneway: read-path slots returned by the DPU
-  abort_txn = 13,      ///< oneway: drop staged segments of an aborted token
+  abort_txn = 13,  ///< oneway: drop staged segments of an aborted token
 };
 
 /// Where one chunk of an op's bulk payload lives. `staged`: it was DMA'd
 /// into a slot and already copied by the host into that request's write
-/// buffer (stage_segment), indexed by a per-request sequence number —
+/// buffer (stage_batch), indexed by a per-request sequence number —
 /// Fig. 4's staging-buffer -> write-buffer handoff, which lets the scarce
 /// DMA slots recycle immediately. `inline` data rides in the RPC itself
 /// (control fallback after a DMA error, or tiny payloads). For the read
@@ -59,26 +57,6 @@ struct DataRef {
   }
 };
 
-/// stage_segment request: segment `seg_index` of request `token` has landed
-/// in write-buffer `slot`; the host copies it out so the slot can recycle.
-struct StageSegment {
-  std::uint64_t token = 0;
-  std::uint32_t seg_index = 0;
-  std::uint32_t slot = 0;
-  std::uint32_t len = 0;
-
-  void encode(BufferList& bl) const {
-    doceph::encode(token, bl);
-    doceph::encode(seg_index, bl);
-    doceph::encode(slot, bl);
-    doceph::encode(len, bl);
-  }
-  bool decode(BufferList::Cursor& cur) {
-    return doceph::decode(token, cur) && doceph::decode(seg_index, cur) &&
-           doceph::decode(slot, cur) && doceph::decode(len, cur);
-  }
-};
-
 /// One member of a stage_batch: segment `seg_index` of request `token` lies
 /// at byte offset `off` inside the batch's slot.
 struct StageBatchEntry {
@@ -99,10 +77,11 @@ struct StageBatchEntry {
   }
 };
 
-/// stage_batch request: the DPU packed several segments (possibly from
+/// stage_batch request: the DPU packed one or more segments (possibly from
 /// different requests) into write-buffer `slot` with one scatter-gather DMA
-/// pass; the host copies each out to its request's write buffer and acks
-/// the batch as a unit (0, or the first per-entry error).
+/// pass; the host copies each out to its request's write buffer, so the
+/// slot can recycle, and acks the batch as a unit (0, or the first
+/// per-entry error).
 struct StageBatch {
   std::uint32_t slot = 0;
   std::vector<StageBatchEntry> entries;

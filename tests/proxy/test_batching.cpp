@@ -294,9 +294,10 @@ TEST(DmaBatching, SingleWriteStillCompletesPromptly) {
   f.down();
 }
 
-TEST(DmaBatching, OversizedSegmentsFallThroughToLegacyPath) {
-  // 2 MB segments exactly fill a slot; the batcher takes them one per
-  // flush, so multi-segment writes still work end to end.
+TEST(DmaBatching, SlotSizedSegmentsFlushAlone) {
+  // 2 MB segments exactly fill a slot, so the batcher flushes each one
+  // alone (and the 1 MB tail too: nothing else queues to share its slot);
+  // multi-segment writes still work end to end.
   BatchProxyFixture f(batched_config());
   f.up();
   const std::string big = pattern(5 << 20);  // 3 segments: 2+2+1 MB
@@ -308,7 +309,42 @@ TEST(DmaBatching, OversizedSegmentsFallThroughToLegacyPath) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->to_string(), big);
   });
+  const auto& c = f.proxy->perf_counters();
+  EXPECT_EQ(c->get(l_dpu_batch_flushes), 3u);
+  EXPECT_EQ(c->get(l_dpu_batch_segments), 3u);
   f.down();
+}
+
+TEST(DmaBatching, SlotAcquireTimeoutThrottlesThenRecovers) {
+  // Every flush honors slot_acquire_timeout, on the coalescing thread and
+  // inline on a write worker: a flush that cannot get a slot in time
+  // throttles its members instead of blocking forever.
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "unbatched");
+    ProxyConfig cfg = batched_config();
+    cfg.dma_batch.enabled = batched;
+    cfg.slots = 1;
+    cfg.slot_acquire_timeout = 10'000'000;  // 10 ms
+    BatchProxyFixture f(cfg);
+    f.up();
+    const std::string payload = pattern(64 << 10);
+    run_sim(f.env, [&] {
+      const int held = f.proxy->slots().acquire();
+      os::Transaction starved;
+      starved.write_full(kColl, {1, "starved"}, BufferList::copy_of(payload));
+      EXPECT_EQ(f.commit_all({std::move(starved)}).code(), Errc::throttled);
+      EXPECT_EQ(f.proxy->perf_counters()->get(l_dpu_throttle_slot), 1u);
+
+      f.proxy->slots().release(held);
+      os::Transaction fed;
+      fed.write_full(kColl, {1, "fed"}, BufferList::copy_of(payload));
+      ASSERT_TRUE(f.commit_all({std::move(fed)}).ok());
+      auto r = f.proxy->read(kColl, {1, "fed"}, 0, 0);
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      EXPECT_EQ(r->to_string(), payload);
+    });
+    f.down();
+  }
 }
 
 TEST(DmaBatching, PerExtentFaultFailsOneWriteOthersSurvive) {

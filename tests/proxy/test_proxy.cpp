@@ -168,44 +168,6 @@ TEST(Proxy, ControlPlaneOps) {
   f.down();
 }
 
-TEST(Proxy, DmaFailureFallsBackToRpcAndRecovers) {
-  ProxyConfig cfg;
-  cfg.cooldown = 50'000'000;  // 50 ms for a fast test
-  ProxyFixture f(cfg);
-  f.up();
-  const std::string big = pattern(4 << 20, 9);
-  f.dpu.dma().fail_next(1);
-  run_sim(f.env, [&] {
-    // First write hits the injected DMA failure -> inline fallback, still
-    // commits correctly.
-    os::Transaction t;
-    t.write_full(kColl, kObj, BufferList::copy_of(big));
-    ASSERT_TRUE(f.commit(std::move(t)).ok());
-    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), big);
-    EXPECT_FALSE(f.proxy->fallback().dma_enabled());
-    EXPECT_GT(f.proxy->rpc_fallback_bytes(), 0u);
-
-    // During cooldown, writes route over RPC.
-    const auto dma_bytes_before = f.proxy->dma_bytes();
-    os::Transaction t2;
-    t2.write_full(kColl, {1, "during-cooldown"}, BufferList::copy_of(pattern(3 << 20, 4)));
-    ASSERT_TRUE(f.commit(std::move(t2)).ok());
-    EXPECT_EQ(f.proxy->dma_bytes(), dma_bytes_before);
-
-    // After cooldown a probe re-enables DMA.
-    f.env.keeper().sleep_for(60'000'000);
-    os::Transaction t3;
-    t3.write_full(kColl, {1, "after-cooldown"}, BufferList::copy_of(pattern(3 << 20, 5)));
-    ASSERT_TRUE(f.commit(std::move(t3)).ok());
-    EXPECT_TRUE(f.proxy->fallback().dma_enabled());
-    EXPECT_GT(f.proxy->dma_bytes(), dma_bytes_before);
-    EXPECT_EQ(f.store->read(kColl, {1, "after-cooldown"}, 0, 0)->to_string(),
-              pattern(3 << 20, 5));
-  });
-  EXPECT_GE(f.proxy->fallback().failures(), 1u);
-  f.down();
-}
-
 TEST(Proxy, ConcurrentWritersKeepPerObjectOrder) {
   ProxyFixture f;
   f.up();
@@ -273,23 +235,77 @@ TEST(Proxy, BreakdownAccumulatesAndResets) {
   f.down();
 }
 
-TEST(Proxy, MrCacheOffStillCorrect) {
-  ProxyConfig cfg;
+// The offload write path is the batcher's flush whether batching is on
+// (coalescing thread) or off (a batch of one on the write worker), so probe
+// recovery and both ablations run in each mode.
+class ProxyFlushModes : public ::testing::TestWithParam<bool> {
+ protected:
+  [[nodiscard]] static ProxyConfig config() {
+    ProxyConfig cfg;
+    cfg.dma_batch.enabled = GetParam();
+    return cfg;
+  }
+};
+
+TEST_P(ProxyFlushModes, DmaFailureFallsBackToRpcAndRecovers) {
+  ProxyConfig cfg = config();
+  cfg.cooldown = 50'000'000;  // 50 ms for a fast test
+  ProxyFixture f(cfg);
+  f.up();
+  const std::string big = pattern(4 << 20, 9);
+  f.dpu.dma().fail_next(1);
+  run_sim(f.env, [&] {
+    // First write hits the injected DMA failure -> inline fallback, still
+    // commits correctly.
+    os::Transaction t;
+    t.write_full(kColl, kObj, BufferList::copy_of(big));
+    ASSERT_TRUE(f.commit(std::move(t)).ok());
+    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), big);
+    EXPECT_FALSE(f.proxy->fallback().dma_enabled());
+    EXPECT_GT(f.proxy->rpc_fallback_bytes(), 0u);
+
+    // During cooldown, writes route over RPC.
+    const auto dma_bytes_before = f.proxy->dma_bytes();
+    os::Transaction t2;
+    t2.write_full(kColl, {1, "during-cooldown"}, BufferList::copy_of(pattern(3 << 20, 4)));
+    ASSERT_TRUE(f.commit(std::move(t2)).ok());
+    EXPECT_EQ(f.proxy->dma_bytes(), dma_bytes_before);
+
+    // After cooldown a probe re-enables DMA.
+    f.env.keeper().sleep_for(60'000'000);
+    os::Transaction t3;
+    t3.write_full(kColl, {1, "after-cooldown"}, BufferList::copy_of(pattern(3 << 20, 5)));
+    ASSERT_TRUE(f.commit(std::move(t3)).ok());
+    EXPECT_TRUE(f.proxy->fallback().dma_enabled());
+    EXPECT_GT(f.proxy->dma_bytes(), dma_bytes_before);
+    EXPECT_EQ(f.store->read(kColl, {1, "after-cooldown"}, 0, 0)->to_string(),
+              pattern(3 << 20, 5));
+  });
+  EXPECT_GE(f.proxy->fallback().failures(), 1u);
+  EXPECT_EQ(f.proxy->fallback().recoveries(), 1u);
+  f.down();
+}
+
+TEST_P(ProxyFlushModes, MrCacheOffStillCorrect) {
+  ProxyConfig cfg = config();
   cfg.mr_cache = false;
   ProxyFixture f(cfg);
   f.up();
   const std::string big = pattern(4 << 20, 2);
   run_sim(f.env, [&] {
+    const auto control_before = f.backend->control_rpcs();
     os::Transaction t;
     t.write_full(kColl, kObj, BufferList::copy_of(big));
     ASSERT_TRUE(f.commit(std::move(t)).ok());
+    // Two slot-filling segments, two flushes: one negotiation each.
+    EXPECT_EQ(f.backend->control_rpcs() - control_before, 2u);
     EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), big);
   });
   f.down();
 }
 
-TEST(Proxy, PipeliningOffStillCorrect) {
-  ProxyConfig cfg;
+TEST_P(ProxyFlushModes, PipeliningOffStillCorrect) {
+  ProxyConfig cfg = config();
   cfg.pipelining = false;
   ProxyFixture f(cfg);
   f.up();
@@ -302,6 +318,11 @@ TEST(Proxy, PipeliningOffStillCorrect) {
   });
   f.down();
 }
+
+INSTANTIATE_TEST_SUITE_P(Proxy, ProxyFlushModes, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Batched" : "Unbatched";
+                         });
 
 }  // namespace
 }  // namespace doceph::proxy
