@@ -6,13 +6,13 @@
 //
 // With --repeats N > 1 the DoCeph lap is re-run under N distinct universe
 // seeds and the per-repeat p99 latency and host-CPU cores are recorded in
-// a "doceph_variance" block. The sim is NOT yet deterministic: threads the
-// keeper wakes together race on real OS scheduling, so the spread is not 0.
-// Three same-seed `--repeats 3` runs on a 4-core x86 box measured a p99
-// rel_spread of 0.005, 0.113 and 0.043, and sharded-lap ops/s ranging over
-// 2578-2781. A gate trip can therefore be drift as well as a regression;
-// ROADMAP.md item 1 (a baton-passing keeper) is the fix. The default
-// margins stay as they are until then.
+// a "doceph_variance" block. The sim is deterministic: the TimeKeeper runs
+// one registered thread at a time in a fixed order, so a rerun of the same
+// binary reproduces the JSON byte for byte (two `--repeats 3` runs on a
+// 4-core x86 box gave identical files), and the variance block measures
+// seed-to-seed spread only (rel_spread 0 there: the 1 MB lap draws no
+// seeded randomness). A gate trip is therefore a change in the code, not
+// drift. The default margins are unchanged.
 //
 //   perf_smoke --out BENCH_pr.json [--baseline BENCH_baseline.json]
 //              [--threshold 0.20] [--p99-threshold 0.30]

@@ -296,13 +296,15 @@ void BlueStore::queue_transaction(os::Transaction txn, OnCommit on_commit) {
   std::vector<std::pair<std::uint64_t, BufferList>> writes;
   build_txc(txn, txc, writes, prefetched);
 
+  std::vector<TxRef> failed;
   {
     const dbg::LockGuard lk(mutex_);
     txc->pending_ios = static_cast<int>(writes.size());
     if (txc->pending_ios == 0) txc->ios_done = true;
     sequencers_[txc->seq_cid].push_back(txc);
-    if (txc->ios_done) submit_ready_locked(txc->seq_cid);
+    if (txc->ios_done) submit_ready_locked(txc->seq_cid, failed);
   }
+  for (const auto& f : failed) finish_txc(f, f->build_status);
 
   for (auto& [off, data] : writes) {
     const std::uint64_t bytes = data.length();
@@ -468,13 +470,17 @@ void BlueStore::build_txc(os::Transaction& txn, const TxRef& txc,
 }
 
 void BlueStore::on_ios_complete(const TxRef& txc) {
-  const dbg::LockGuard lk(mutex_);
-  if (--txc->pending_ios > 0) return;
-  txc->ios_done = true;
-  submit_ready_locked(txc->seq_cid);
+  std::vector<TxRef> failed;
+  {
+    const dbg::LockGuard lk(mutex_);
+    if (--txc->pending_ios > 0) return;
+    txc->ios_done = true;
+    submit_ready_locked(txc->seq_cid, failed);
+  }
+  for (const auto& f : failed) finish_txc(f, f->build_status);
 }
 
-void BlueStore::submit_ready_locked(const os::coll_t& cid) {
+void BlueStore::submit_ready_locked(const os::coll_t& cid, std::vector<TxRef>& failed) {
   auto it = sequencers_.find(cid);
   if (it == sequencers_.end()) return;
   auto& dq = it->second;
@@ -483,8 +489,9 @@ void BlueStore::submit_ready_locked(const os::coll_t& cid) {
     txc->submitted = true;
     dq.pop_front();
     if (!txc->build_status.ok()) {
-      // Nothing reached the device/kv atomically; report the build error.
-      finish_txc(txc, txc->build_status);
+      // Nothing reached the device/kv atomically; the caller reports the
+      // build error.
+      failed.push_back(txc);
       continue;
     }
     kv_->queue(std::move(txc->kv), [this, txc](Status st) { finish_txc(txc, st); });

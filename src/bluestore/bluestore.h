@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "bluestore/allocator.h"
 #include "bluestore/block_device.h"
@@ -178,7 +179,11 @@ class BlueStore final : public os::ObjectStore {
                                     std::vector<std::pair<std::uint64_t, BufferList>>& writes);
 
   void on_ios_complete(const TxRef& txc);
-  void submit_ready_locked(const os::coll_t& cid) DOCEPH_REQUIRES(mutex_);
+  /// Queue the collection's ready transactions to the KV store, in order.
+  /// Ones whose build failed go to `failed`: the caller finishes them after
+  /// dropping mutex_, because on_commit may block (charge, RPC reply).
+  void submit_ready_locked(const os::coll_t& cid, std::vector<TxRef>& failed)
+      DOCEPH_REQUIRES(mutex_);
   void finish_txc(const TxRef& txc, Status st);
 
   /// Hand a completion task to the "bstore_aio" thread (device callbacks run

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+
 #include "dbg/mutex.h"
 #include "sim/time_keeper.h"
 
@@ -7,11 +9,12 @@ namespace doceph::dbg {
 
 /// sim::CondVar with lockdep instrumentation: the drop-in condition variable
 /// for code using dbg::Mutex. Semantics are sim::CondVar's (waits park the
-/// thread in simulated time; notifies wake it at the current instant), plus
-/// check (c) from dbg/lockdep.h: a registered sim thread must not wait while
-/// holding any tracked lock other than the one it is waiting with — the
-/// extra lock would stay held across the park and stall every contender,
-/// i.e. stall simulated time.
+/// thread in simulated time; notifies queue it for the baton at the current
+/// instant), and every wait runs check (c) from dbg/lockdep.h naming this
+/// condvar: a registered sim thread must not wait while holding any tracked
+/// lock other than the one it is waiting with — the extra lock would stay
+/// held across the park, and the first contender would block the baton
+/// holder and with it the whole simulation.
 ///
 /// Header-only by design: dbg's compiled core stays free of sim so the
 /// dependency arrow runs sim -> dbg only.
@@ -29,20 +32,15 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void wait(UniqueLock& lk) {
-    pre_wait(lk);
-    cv_.wait(lk.inner());
-  }
+  void wait(UniqueLock& lk) { (void)wait_until(lk, sim::kTimeInfinity); }
 
   /// Waits until notified or `deadline` (simulated); false on timeout.
   [[nodiscard]] bool wait_until(UniqueLock& lk, sim::Time deadline) {
-    pre_wait(lk);
-    return cv_.wait_until(lk.inner(), deadline);
+    return cv_.wait_until(lk.inner(), deadline, lk.mutex(), name_);
   }
 
   [[nodiscard]] bool wait_for(UniqueLock& lk, sim::Duration d) {
-    pre_wait(lk);
-    return cv_.wait_for(lk.inner(), d);
+    return wait_until(lk, keeper().now() + std::max<sim::Duration>(d, 0));
   }
 
   template <typename Pred>
@@ -65,11 +63,6 @@ class CondVar {
   [[nodiscard]] sim::TimeKeeper& keeper() const noexcept { return cv_.keeper(); }
 
  private:
-  void pre_wait(UniqueLock& lk) {
-    lockdep::cond_wait_check(lk.mutex(), cv_.keeper().current_thread_registered(),
-                             name_);
-  }
-
   sim::CondVar cv_;
   const char* name_;
 };

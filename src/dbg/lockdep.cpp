@@ -248,12 +248,13 @@ void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* wha
   Engine& e = engine();
   std::unique_lock<std::mutex> lk(e.m);
   std::ostringstream os;
-  os << "== doceph lockdep: CONDVAR WAIT WHILE HOLDING LOCKS ==\n"
+  os << "== doceph lockdep: SIM BLOCK WHILE HOLDING LOCKS ==\n"
      << "thread: " << current_thread_name() << " (registered sim thread)\n"
-     << "waiting on: " << what << " (mutex " << wait_mutex << ")\n"
-     << "the wait parks this thread in simulated time, but it still holds:\n"
+     << "blocking in: " << what << " (mutex " << wait_mutex << ")\n"
+     << "the block parks this thread in simulated time, but it still holds:\n"
      << held_dump_locked(e)
-     << "any thread contending on those locks stalls the simulation.\n";
+     << "a thread contending on those locks blocks while holding the run "
+        "baton, which deadlocks the simulation.\n";
   fire_locked(e, lk, Violation{Violation::Kind::cond_wait_holding, os.str()});
 }
 

@@ -20,11 +20,13 @@ namespace doceph::dbg {
 ///      thread already holds (including same-class instance pairs, which are
 ///      a potential ABBA between two threads unless the class is explicitly
 ///      registered as rank-ordered);
-///  (c) condvar-wait-while-holding — waiting on a dbg::CondVar while holding
-///      any tracked lock other than the one associated with the wait, from a
-///      thread registered with a TimeKeeper. Such a wait parks the thread in
-///      simulated time while the extra lock stays held, stalling every other
-///      thread that needs it — the classic way a simulation wedges.
+///  (c) block-while-holding — any keeper block (a sim/dbg CondVar wait,
+///      TimeKeeper::sleep_for/sleep_until, and so CpuDomain::charge) while
+///      holding a tracked lock other than the one associated with the wait,
+///      from a thread registered with a TimeKeeper. The block hands the
+///      keeper's run baton on while the extra lock stays held; the first
+///      thread that then contends for it blocks in the OS *with* the baton,
+///      which wedges the whole simulation, not just that thread.
 ///
 /// Checking costs one hash lookup + small vector scan per lock op and is
 /// disabled by default; enable per-build with -DDOCEPH_LOCKDEP=ON or per
@@ -44,7 +46,7 @@ struct Violation {
   enum class Kind {
     lock_inversion,     ///< cycle in the lock-order graph
     recursive_lock,     ///< same instance (or same class) already held
-    cond_wait_holding,  ///< condvar wait with an unrelated tracked lock held
+    cond_wait_holding,  ///< keeper block with an unrelated tracked lock held
   };
   Kind kind;
   std::string report;  ///< multi-line human-readable report
@@ -88,10 +90,11 @@ void acquire_trylock(const void* instance, ClassId cls);
 /// (out-of-order release is fine).
 void release(const void* instance) noexcept;
 
-/// Check (c): about to wait on a condvar whose associated mutex is
-/// `wait_mutex`. `in_sim_thread` is whether the caller is registered with a
-/// TimeKeeper (the wait stalls simulated time only then). `what` names the
-/// condvar's wrapper for the report.
+/// Check (c): about to block in the TimeKeeper; `wait_mutex` is the lock
+/// the block releases (a condvar's mutex) or null (a sleep).
+/// `in_sim_thread` is whether the caller is registered with a TimeKeeper
+/// (the block stalls simulated time only then). `what` names the condvar or
+/// keeper primitive for the report.
 void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* what);
 
 /// Number of tracked locks the calling thread currently holds.

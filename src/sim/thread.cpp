@@ -19,18 +19,24 @@ Thread::Thread(TimeKeeper& tk, StatsRegistry& stats, std::string name,
     auto thread_stats =
         stats.add(std::move(name), domain != nullptr ? domain->name() : "");
     const ScopedExecContext ctx(&tk, domain, thread_stats);
-    const TimeKeeper::ThreadGuard guard(tk, thread_stats, daemon);
+    // Join the run queue, release the spawner, and only then wait for the
+    // baton: a registered spawner holds the baton until the promise is set.
+    tk.enroll_current_thread(thread_stats, daemon);
     registered.set_value();  // spawner may proceed; `registered` dies after this
+    tk.await_baton();
     body();
-    // Signal the exit latch while still registered: a sim-thread joiner
-    // wakes in simulated time, and only the (instant, real-time) OS reap
-    // remains after we unregister.
-    const dbg::LockGuard lk(latch->m);
-    latch->exited = true;
-    latch->cv.notify_all();
+    {
+      // Signal the exit latch while still registered: a sim-thread joiner
+      // wakes in simulated time, and only the (instant, real-time) OS reap
+      // remains after we unregister.
+      const dbg::LockGuard lk(latch->m);
+      latch->exited = true;
+      latch->cv.notify_all();
+    }
+    tk.unregister_current_thread();
   });
-  // Real-time wait (not simulated): the spawner stays RUNNABLE, so the clock
-  // cannot advance while we synchronize.
+  // Real-time wait (not simulated): a registered spawner keeps the baton, so
+  // nothing else runs and the clock cannot advance while we synchronize.
   registered_future.wait();
 }
 

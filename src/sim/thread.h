@@ -19,7 +19,8 @@ class CpuDomain;
 /// names itself, registers with the TimeKeeper, allocates ThreadStats in the
 /// registry, and installs the ambient ExecContext (keeper + CPU domain).
 /// The constructor returns only after registration completed, so simulated
-/// time cannot advance past the new thread's first wait.
+/// time cannot advance past the new thread's first wait; the new thread
+/// first runs when the baton reaches it (see TimeKeeper).
 ///
 /// join() is safe from registered sim threads: it first waits on an exit
 /// latch in *simulated* time (so the clock can keep advancing while the

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/thread_name.h"
+#include "dbg/lockdep.h"
 
 namespace doceph::sim {
 namespace {
@@ -18,12 +19,8 @@ thread_local void* t_rec = nullptr;
 
 }  // namespace
 
-TimeKeeper::TimeKeeper(Mode mode)
-    : mode_(mode), real_start_(std::chrono::steady_clock::now()) {
-  if (mode_ == Mode::virtual_time) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
-}
+TimeKeeper::TimeKeeper(Mode /*mode*/)
+    : cpu_(sched_getcpu()), watchdog_([this] { watchdog_loop(); }) {}
 
 TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stops the watchdog; a throw terminates, by design
   {
@@ -36,30 +33,55 @@ TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stop
 }
 
 Time TimeKeeper::now() const {
-  if (mode_ == Mode::real_time) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - real_start_)
-        .count();
-  }
   const dbg::LockGuard lock(mutex_);
   return now_;
 }
 
 void TimeKeeper::register_current_thread(std::shared_ptr<ThreadStats> stats,
                                          bool daemon) {
+  enroll_current_thread(std::move(stats), daemon);
+  await_baton();
+}
+
+void TimeKeeper::enroll_current_thread(std::shared_ptr<ThreadStats> stats,
+                                       bool daemon) {
   assert(t_keeper == nullptr && "thread already registered with a TimeKeeper");
   auto* rec = new ThreadRec;
   rec->name = current_thread_name();
   rec->stats = std::move(stats);
   rec->daemon = daemon;
+  if (cpu_ >= 0 && sched_getaffinity(0, sizeof(rec->saved_affinity),
+                                     &rec->saved_affinity) == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu_, &one);
+    rec->pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  // SCHED_BATCH: a thread woken by a handoff must not preempt the waker on
+  // their shared CPU, since the waker is about to block anyway.
+  rec->saved_policy = sched_getscheduler(0);
+  if (rec->saved_policy >= 0 && sched_getparam(0, &rec->saved_param) == 0) {
+    const sched_param batch{};
+    if (sched_setscheduler(0, SCHED_BATCH, &batch) != 0) rec->saved_policy = -1;
+  } else {
+    rec->saved_policy = -1;
+  }
   {
     const dbg::LockGuard lock(mutex_);
     threads_.push_back(rec);
+    ready_.push_back(rec);
     ++epoch_;
     parked_suspect_ = false;
+    if (holder_ == nullptr) pass_baton_locked();
   }
   t_keeper = this;
   t_rec = rec;
+}
+
+void TimeKeeper::await_baton() {
+  ThreadRec& rec = current_rec();
+  dbg::UniqueLock lk(mutex_);
+  while (holder_ != &rec) rec.cv.wait(lk.inner());
 }
 
 void TimeKeeper::unregister_current_thread() {
@@ -67,13 +89,17 @@ void TimeKeeper::unregister_current_thread() {
   auto* rec = static_cast<ThreadRec*>(t_rec);
   {
     const dbg::LockGuard lock(mutex_);
-    assert(!rec->blocked);
+    assert(holder_ == rec && !rec->blocked);
     threads_.erase(std::find(threads_.begin(), threads_.end(), rec));
     ++epoch_;
     parked_suspect_ = false;
-    // Remaining threads may now all be blocked; let time move on.
-    maybe_advance_locked();
+    holder_ = nullptr;
+    pass_baton_locked();
   }
+  if (rec->pinned)
+    (void)sched_setaffinity(0, sizeof(rec->saved_affinity), &rec->saved_affinity);
+  if (rec->saved_policy >= 0)
+    (void)sched_setscheduler(0, rec->saved_policy, &rec->saved_param);
   delete rec;
   t_keeper = nullptr;
   t_rec = nullptr;
@@ -94,6 +120,7 @@ void TimeKeeper::set_deadlock_handler(std::function<void(const std::string&)> h)
 void TimeKeeper::set_deadlock_grace(std::chrono::milliseconds grace) {
   const dbg::LockGuard lock(mutex_);
   grace_ = grace;
+  watchdog_cv_.notify_all();  // restart the stall sampling period
 }
 
 TimeKeeper::ThreadRec& TimeKeeper::current_rec() {
@@ -106,41 +133,23 @@ void TimeKeeper::sleep_for(Duration d) { sleep_until(now() + std::max<Duration>(
 
 void TimeKeeper::sleep_until(Time t) {
   ThreadRec& rec = current_rec();
+  dbg::lockdep::cond_wait_check(nullptr, /*in_sim_thread=*/true,
+                                "sim::TimeKeeper::sleep_until");
   dbg::UniqueLock lk(mutex_);
   (void)wait_locked(lk, rec, t);
 }
 
 bool TimeKeeper::wait_locked(dbg::UniqueLock& lk, ThreadRec& rec,
                              Time deadline) {
-  if (mode_ == Mode::real_time) {
-    rec.blocked = true;
-    rec.notified = false;
-    ++blocked_;
-    if (rec.stats) rec.stats->ctx_switches.fetch_add(1, std::memory_order_relaxed);
-    if (deadline == kTimeInfinity) {
-      while (rec.blocked) rec.cv.wait(lk.inner());
-    } else {
-      const auto abs = real_start_ + std::chrono::nanoseconds(deadline);
-      while (rec.blocked) {
-        if (rec.cv.wait_until(lk.inner(), abs) == std::cv_status::timeout && rec.blocked) {
-          rec.blocked = false;
-          --blocked_;
-          break;
-        }
-      }
-    }
-    return rec.notified;
-  }
-
-  // Virtual time.
+  assert(holder_ == &rec && "blocking thread must hold the baton");
   if (deadline <= now_) return false;  // already due; no block, no switch
   rec.blocked = true;
   rec.deadline = deadline;
   rec.notified = false;
-  ++blocked_;
   if (rec.stats) rec.stats->ctx_switches.fetch_add(1, std::memory_order_relaxed);
-  maybe_advance_locked();
-  while (rec.blocked) rec.cv.wait(lk.inner());
+  holder_ = nullptr;
+  pass_baton_locked();
+  while (holder_ != &rec) rec.cv.wait(lk.inner());
   return rec.notified;
 }
 
@@ -148,10 +157,20 @@ void TimeKeeper::notify_locked(ThreadRec& rec) {
   if (!rec.blocked) return;
   rec.blocked = false;
   rec.notified = true;
-  --blocked_;
+  ready_.push_back(&rec);
   ++epoch_;
   parked_suspect_ = false;
-  rec.cv.notify_one();
+  if (holder_ == nullptr) pass_baton_locked();  // notified from outside the sim
+}
+
+void TimeKeeper::pass_baton_locked() {
+  assert(holder_ == nullptr);
+  if (ready_.empty()) advance_locked();
+  if (ready_.empty()) return;  // parked: the next notify or register resumes
+  holder_ = ready_.front();
+  ready_.pop_front();
+  ++handoffs_;
+  holder_->cv.notify_one();
 }
 
 void TimeKeeper::hold_advance() {
@@ -165,22 +184,25 @@ void TimeKeeper::release_advance() {
   const dbg::LockGuard lock(mutex_);
   --holds_;
   ++epoch_;
-  if (holds_ == 0) maybe_advance_locked();
+  if (holds_ == 0 && holder_ == nullptr) pass_baton_locked();
 }
 
-void TimeKeeper::maybe_advance_locked() {
-  if (mode_ == Mode::real_time) return;
-  if (threads_.empty() || blocked_ != static_cast<int>(threads_.size())) return;
+void TimeKeeper::advance_locked() {
+  if (threads_.empty()) return;
 
   Time min_deadline = kTimeInfinity;
   for (const auto* rec : threads_)
     if (rec->blocked) min_deadline = std::min(min_deadline, rec->deadline);
 
-  if (holds_ > 0) {
-    // An external thread holds advancement. If every registered thread is
-    // blocked, someone had better release that hold — arm the watchdog so a
+  if (holds_ > 0 || min_deadline == kTimeInfinity) {
+    // Either an external thread holds advancement — if every registered
+    // thread is blocked, someone had better release that hold, so a
     // registered thread blocking under its own hold (a bug) gets reported
-    // instead of hanging silently.
+    // instead of hanging silently — or nothing is scheduled. If only daemon
+    // service threads are parked, the system is quiescent; an external
+    // notify will resume it. A parked non-daemon is *suspicious* — but an
+    // unregistered external thread may be about to spawn or notify, so hand
+    // the case to the watchdog rather than deciding now.
     bool any_nondaemon = false;
     for (const auto* rec : threads_) any_nondaemon |= !rec->daemon;
     if (any_nondaemon) {
@@ -190,38 +212,50 @@ void TimeKeeper::maybe_advance_locked() {
     return;
   }
 
-  if (min_deadline == kTimeInfinity) {
-    // Nothing scheduled. If only daemon service threads are parked, the
-    // system is quiescent; an external notify will resume it. A parked
-    // non-daemon is *suspicious* — but an unregistered external thread may
-    // be about to spawn or notify, so hand the case to the watchdog rather
-    // than deciding now.
-    bool any_nondaemon = false;
-    for (const auto* rec : threads_) any_nondaemon |= !rec->daemon;
-    if (any_nondaemon) {
-      parked_suspect_ = true;
-      watchdog_cv_.notify_all();
-    }
-    return;
-  }
-
-  now_ = std::max(now_, min_deadline);
+  now_ = min_deadline;
   ++epoch_;
   parked_suspect_ = false;
-  for (auto* rec : threads_) {
+  for (auto* rec : threads_) {  // registration order: deterministic ties
     if (rec->blocked && rec->deadline <= now_) {
       rec->blocked = false;  // timeout wake: notified stays false
-      --blocked_;
-      rec->cv.notify_one();
+      ready_.push_back(rec);
     }
   }
 }
 
 void TimeKeeper::watchdog_loop() {
   dbg::UniqueLock lk(mutex_);
+  // Run the handler without the lock: it may query the keeper.
+  const auto call_handler = [&](const std::string& dump) {
+    auto handler = deadlock_handler_;
+    lk.unlock();
+    handler(dump);
+    lk.lock();
+  };
+  std::uint64_t stall_reported_at = 0;  // handoffs_ at the last stall report
   while (!watchdog_stop_) {
     if (!parked_suspect_) {
-      watchdog_cv_.wait(lk.inner());
+      // Stall sampling: a holder that kept the baton across a whole grace
+      // period is blocked outside the keeper (or spinning). Any wake before
+      // the period ends restarts the sample.
+      const std::uint64_t handoffs_at = handoffs_;
+      if (watchdog_cv_.wait_for(lk.inner(), grace_) == std::cv_status::no_timeout)
+        continue;
+      if (holder_ == nullptr || handoffs_ != handoffs_at ||
+          stall_reported_at == handoffs_)
+        continue;
+      stall_reported_at = handoffs_;  // report each stall once
+      const std::string dump = state_dump_locked();
+      if (deadlock_handler_) {
+        call_handler(dump);
+        continue;
+      }
+      std::fprintf(stderr,
+                   "WARNING: sim thread '%s' has held the baton for %lld ms "
+                   "without handing off — blocked outside the keeper (bare "
+                   "mutex, real-time wait)?\n%s",
+                   holder_->name.c_str(), static_cast<long long>(grace_.count()),
+                   dump.c_str());
       continue;
     }
     const std::uint64_t epoch_at_park = epoch_;
@@ -241,12 +275,8 @@ void TimeKeeper::watchdog_loop() {
       continue;
     }
     if (deadlock_handler_) {
-      // Run the handler without the lock (it may query the keeper), then
-      // wake every blocked thread so shutdown predicates can unwind.
-      auto handler = deadlock_handler_;
-      lk.unlock();
-      handler(dump);
-      lk.lock();
+      // Then wake every blocked thread so shutdown predicates can unwind.
+      call_handler(dump);
       for (auto* rec : threads_) notify_locked(*rec);
       continue;
     }
@@ -261,12 +291,15 @@ std::string TimeKeeper::state_dump_locked() const {
   std::ostringstream os;
   os << "simulated now=" << now_ << "ns, threads:\n";
   for (const auto* rec : threads_) {
-    os << "  " << rec->name << ": " << (rec->blocked ? "BLOCKED" : "RUNNABLE");
-    if (rec->blocked) {
-      if (rec->deadline == kTimeInfinity)
-        os << " (forever)";
-      else
-        os << " (until " << rec->deadline << "ns)";
+    os << "  " << rec->name << ": ";
+    if (rec == holder_) {
+      os << "RUNNING (baton holder)";
+    } else if (!rec->blocked) {
+      os << "RUNNABLE";
+    } else if (rec->deadline == kTimeInfinity) {
+      os << "BLOCKED (forever)";
+    } else {
+      os << "BLOCKED (until " << rec->deadline << "ns)";
     }
     os << '\n';
   }
@@ -281,8 +314,10 @@ void CondVar::wait(std::unique_lock<std::mutex>& user_lock) {
   (void)wait_until(user_lock, kTimeInfinity);
 }
 
-bool CondVar::wait_until(std::unique_lock<std::mutex>& user_lock, Time deadline) {
+bool CondVar::wait_until(std::unique_lock<std::mutex>& user_lock, Time deadline,
+                         const void* tracked_mutex, const char* what) {
   TimeKeeper::ThreadRec& rec = tk_.current_rec();
+  dbg::lockdep::cond_wait_check(tracked_mutex, /*in_sim_thread=*/true, what);
   dbg::UniqueLock lk(tk_.mutex_);
   waiters_.push_back(&rec);
   user_lock.unlock();

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dbg/cond_var.h"
 #include "dbg/lockdep.h"
 #include "dbg/mutex.h"
+#include "sim/cpu_model.h"
 #include "sim/time_keeper.h"
 
 namespace doceph::dbg {
@@ -191,6 +193,43 @@ TEST_F(LockdepTest, CondWaitWhileHoldingUnrelatedLock) {
   EXPECT_EQ(rec.seen[0].kind, ld::Violation::Kind::cond_wait_holding);
   EXPECT_NE(rec.seen[0].report.find("t.cw.other"), std::string::npos);
   EXPECT_NE(rec.seen[0].report.find("t.cw.cv"), std::string::npos);
+}
+
+TEST_F(LockdepTest, SleepWhileHoldingLockReported) {
+  Recorder rec;
+  sim::TimeKeeper tk(sim::TimeKeeper::Mode::virtual_time);
+  const sim::TimeKeeper::ThreadGuard guard(tk);
+
+  Mutex held("t.sleep.held");
+  {
+    const LockGuard l(held);
+    // A sleep has no lock of its own: every tracked lock is extra.
+    tk.sleep_for(1000);
+  }
+  tk.sleep_for(1000);  // nothing held: silent
+
+  ASSERT_EQ(rec.seen.size(), 1u);
+  EXPECT_EQ(rec.seen[0].kind, ld::Violation::Kind::cond_wait_holding);
+  EXPECT_NE(rec.seen[0].report.find("t.sleep.held"), std::string::npos);
+  EXPECT_NE(rec.seen[0].report.find("sleep_until"), std::string::npos);
+}
+
+TEST_F(LockdepTest, ChargeWhileHoldingLockReported) {
+  Recorder rec;
+  sim::TimeKeeper tk(sim::TimeKeeper::Mode::virtual_time);
+  const sim::TimeKeeper::ThreadGuard guard(tk);
+  sim::CpuDomain cpu(tk, "t.charge.cpu", /*cores=*/1, /*speed=*/1.0);
+
+  Mutex held("t.charge.held");
+  {
+    const LockGuard l(held);
+    cpu.charge(1000);  // occupies a modeled core: a keeper sleep
+  }
+  EXPECT_EQ(tk.now(), 1000);
+
+  ASSERT_EQ(rec.seen.size(), 1u);
+  EXPECT_EQ(rec.seen[0].kind, ld::Violation::Kind::cond_wait_holding);
+  EXPECT_NE(rec.seen[0].report.find("t.charge.held"), std::string::npos);
 }
 
 TEST_F(LockdepTest, CondWaitHoldingOnlyItsMutexIsFine) {

@@ -99,9 +99,11 @@ TEST(MsgrRobustness, CorruptedPayloadRejectedByCrc) {
     frame.append_zero(200);  // "header" of zeros: unknown type / bad layout
     (void)sock->send(frame);
 
-    std::unique_lock<std::mutex> lk(f.sink.m);
-    f.sink.cv.wait(lk, [&] { return f.sink.resets > 0; });
-    EXPECT_EQ(f.sink.msgs.size(), 1u);  // only the legitimate message landed
+    {
+      std::unique_lock<std::mutex> lk(f.sink.m);
+      f.sink.cv.wait(lk, [&] { return f.sink.resets > 0; });
+      EXPECT_EQ(f.sink.msgs.size(), 1u);  // only the legitimate message landed
+    }
     client.shutdown();
   });
 }

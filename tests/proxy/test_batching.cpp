@@ -432,8 +432,10 @@ std::string traced_batched_run(std::uint64_t seed) {
         cv.notify_all();
       });
     }
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return done == kOps + 1; });
+    {
+      std::unique_lock<std::mutex> lk(m);
+      cv.wait(lk, [&] { return done == kOps + 1; });
+    }
     ASSERT_TRUE(proxy->umount().ok());
     ASSERT_TRUE(store.umount().ok());
     backend.shutdown();

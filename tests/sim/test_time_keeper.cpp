@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <memory>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "sim/env.h"
 #include "sim/thread.h"
@@ -209,37 +213,87 @@ TEST(TimeKeeper, DeadlockDetected) {
   EXPECT_TRUE(deadlocked.load());
 }
 
-TEST(TimeKeeper, RealTimeModeRoughlyTracksWallClock) {
-  TimeKeeper tk(TimeKeeper::Mode::real_time);
-  const TimeKeeper::ThreadGuard guard(tk);
-  const Time t0 = tk.now();
-  tk.sleep_for(20_ms);
-  const Time t1 = tk.now();
-  EXPECT_GE(t1 - t0, 18_ms);
-  EXPECT_LT(t1 - t0, 2_s);
+TEST(TimeKeeper, NotifiedThreadsRunInNotifyOrder) {
+  Env env;
+  std::mutex m;
+  std::vector<int> order;  // appended by the baton holder only
+  constexpr int kWaiters = 4;
+  std::vector<std::unique_ptr<CondVar>> cvs;
+  std::vector<bool> go(kWaiters, false);
+  for (int i = 0; i < kWaiters; ++i)
+    cvs.push_back(std::make_unique<CondVar>(env.keeper()));
+
+  auto hold = env.hold();
+  std::vector<Thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    waiters.push_back(env.spawn("w" + std::to_string(i), nullptr, [&, i, idx] {
+      std::unique_lock<std::mutex> lk(m);
+      cvs[idx]->wait(lk, [&] { return go[idx]; });
+      order.push_back(i);
+    }));
+  }
+  Thread notifier = env.spawn("notifier", nullptr, [&] {
+    env.keeper().sleep_for(1_ms);
+    // All four become runnable at the same simulated instant; they must run
+    // in the order they were notified, not in spawn order or OS order.
+    for (const int i : {2, 0, 3, 1}) {
+      {
+        const std::lock_guard<std::mutex> lk(m);
+        go[static_cast<std::size_t>(i)] = true;
+      }
+      cvs[static_cast<std::size_t>(i)]->notify_one();
+    }
+  });
+  hold.release();
+  for (auto& w : waiters) w.join();
+  notifier.join();
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 3, 1}));
 }
 
-TEST(TimeKeeper, RealTimeCondVarNotify) {
-  TimeKeeper tk(TimeKeeper::Mode::real_time);
-  std::mutex m;
-  CondVar cv(tk);
-  bool ready = false;
-  StatsRegistry stats;
-  Thread waiter(tk, stats, "rt-waiter", nullptr, [&] {
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return ready; });
+TEST(TimeKeeper, SameDeadlineTimeoutsRunInSpawnOrder) {
+  Env env;
+  std::vector<int> order;  // appended by the baton holder only
+  constexpr int kThreads = 5;
+  auto hold = env.hold();
+  std::vector<Thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.push_back(env.spawn("t" + std::to_string(i), nullptr, [&, i] {
+      // Block in reverse spawn order, all due at the same instant.
+      env.keeper().sleep_for(Duration{kThreads - i} * 1_ms);
+      env.keeper().sleep_until(10_ms);
+      order.push_back(i);
+    }));
+  }
+  hold.release();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(TimeKeeper, StalledBatonHolderReported) {
+  Env env;
+  std::mutex bare;  // untracked: invisible to lockdep, so only the watchdog sees it
+  std::promise<std::string> report;
+  std::atomic<bool> reported{false};
+  env.keeper().set_deadlock_grace(std::chrono::milliseconds(50));
+  env.keeper().set_deadlock_handler([&](const std::string& dump) {
+    if (!reported.exchange(true)) report.set_value(dump);
   });
-  Thread signaler(tk, stats, "rt-signaler", nullptr, [&] {
-    tk.sleep_for(5_ms);
-    {
-      const std::lock_guard<std::mutex> lk(m);
-      ready = true;
-    }
-    cv.notify_one();
+  auto report_future = report.get_future();
+
+  // This (unregistered) thread parks holding the mutex until the report
+  // arrives; the registered thread then blocks on it in the OS while holding
+  // the baton, so no sim thread can run: only the watchdog can notice.
+  std::unique_lock<std::mutex> parked(bare);
+  Thread stuck = env.spawn("stuck", nullptr, [&] {
+    env.keeper().sleep_for(1_ms);
+    const std::lock_guard<std::mutex> lk(bare);
   });
-  waiter.join();
-  signaler.join();
-  SUCCEED();
+  const auto status = report_future.wait_for(std::chrono::seconds(30));
+  parked.unlock();
+  stuck.join();
+  ASSERT_EQ(status, std::future_status::ready);
+  EXPECT_NE(report_future.get().find("stuck: RUNNING (baton holder)"), std::string::npos);
 }
 
 TEST(TimeKeeper, ManyThreadsConvergeOnSameTimeline) {
