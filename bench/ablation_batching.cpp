@@ -24,7 +24,7 @@ int main() {
     spec.concurrency = 16;
     spec.reuse_objects = 32;  // bounded inline-write set (see RunSpec)
     spec.batching = false;
-    const auto r = run_cached(spec);
+    const auto r = run_experiment(spec);
     t.row({"off", "-", "-", Table::num(r.iops, 1), Table::num(r.p99_lat_s, 4),
            Table::num(r.bd_dma_wait_s, 4), Table::pct(r.host_cores)});
   }
@@ -42,7 +42,7 @@ int main() {
       p.dma_batch.flush_delay = deadline;
       p.rpc_batch.flush_delay = deadline / 2;
       spec.proxy_override = p;
-      const auto r = run_cached(spec);
+      const auto r = run_experiment(spec);
       t.row({"on", std::to_string(max_segments),
              Table::num(static_cast<double>(deadline) / 1e3, 0),
              Table::num(r.iops, 1), Table::num(r.p99_lat_s, 4),

@@ -17,7 +17,7 @@ int main() {
     spec.mode = cluster::DeployMode::doceph;
     spec.object_size = 4 << 20;
     spec.dma_failure_rate = rate;
-    const auto r = run_cached(spec);
+    const auto r = run_experiment(spec);
     t.row({Table::pct(rate, 1), Table::num(r.iops, 1), Table::num(r.avg_lat_s, 3),
            std::to_string(r.dma_fallback_events),
            Table::num(static_cast<double>(r.rpc_fallback_bytes) / 1e6, 1)});

@@ -21,7 +21,7 @@ int main() {
       auto p = cluster::default_proxy();
       p.mr_cache = cache;
       spec.proxy_override = p;
-      const auto r = run_cached(spec);
+      const auto r = run_experiment(spec);
       t.row({size == (1u << 20) ? "1MB" : "16MB", cache ? "on" : "off",
              Table::num(r.iops, 1), Table::num(r.avg_lat_s, 3),
              Table::num(r.bd_dma_wait_s, 4)});

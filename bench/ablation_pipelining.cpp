@@ -23,7 +23,7 @@ int main() {
       p.slots = slots;
       p.pipelining = pipelined;
       spec.proxy_override = p;
-      const auto r = run_cached(spec);
+      const auto r = run_experiment(spec);
       t.row({std::to_string(slots), pipelined ? "yes" : "no", Table::num(r.iops, 1),
              Table::num(r.avg_lat_s, 3), Table::num(r.bd_dma_wait_s, 4),
              Table::pct(r.host_cores)});

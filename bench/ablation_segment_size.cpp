@@ -20,7 +20,7 @@ int main() {
     auto p = cluster::default_proxy();
     p.segment_size = seg;
     spec.proxy_override = p;
-    const auto r = run_cached(spec);
+    const auto r = run_experiment(spec);
     t.row({std::to_string(seg >> 10) + "KB", Table::num(r.iops, 1),
            Table::num(r.avg_lat_s, 3), Table::num(r.bd_dma_s, 4),
            Table::num(r.bd_dma_wait_s, 4)});

@@ -36,8 +36,8 @@ RunSpec small_write_spec(int op_shards, int kv_shards) {
   spec.warmup = 200'000'000;   // 200 ms
   spec.measure = 250'000'000;  // 250 ms: sized so the fastest sharded cell's
                                // fresh-object KV growth stays under nearfull
-  spec.op_shards_override = op_shards;
-  spec.kv_shards_override = kv_shards;
+  spec.op_shards = op_shards;
+  spec.kv_shards = kv_shards;
   return spec;
 }
 
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Cell> cells;
 
-  // Diagonal (op = kv): the configuration RunSpec::shards deploys.
+  // Diagonal (op = kv): both knobs moved together.
   for (const int n : {1, 2, 4, 8}) cells.push_back({n, n, {}});
   // Split rows: each knob alone at the headline count, to attribute the win.
   cells.push_back({4, 1, {}});
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   Table t({"op", "kv", "IOPS", "speedup", "p99 (s)", "queue (s)", "store (s)",
            "failed"});
   for (auto& c : cells) {
-    c.r = run_cached(small_write_spec(c.op_shards, c.kv_shards));
+    c.r = run_experiment(small_write_spec(c.op_shards, c.kv_shards));
     if (c.op_shards == 1 && c.kv_shards == 1) base_iops = c.r.iops;
     t.row({std::to_string(c.op_shards), std::to_string(c.kv_shards),
            Table::num(c.r.iops, 1),

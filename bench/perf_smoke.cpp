@@ -19,7 +19,6 @@
 //              [--cores-threshold 0.25] [--shard-gate 1.8]
 //              [--measure-ms 1500] [--repeats N]
 //              [--trace-out TRACE.json] [--trace-sample N]
-//              [--disable-batching]
 //
 // Two laps per deploy mode: the 1 MB DMA-path lap ("baseline"/"doceph")
 // and a 16 KB qd64 fresh-object small-write lap ("baseline_smallwrite"/
@@ -32,9 +31,9 @@
 // is then re-run with op_shards = kv_shards = 4 ("*_smallwrite_sharded")
 // and gated intra-run: DoCeph sharded ops/s must be >= --shard-gate times
 // the unsharded lap (0 disables), with zero failed ops.
-// --disable-batching strips all batching knobs — that is how the committed
-// BENCH_baseline.json is produced, so the delta against it shows the
-// batching win.
+// Every lap runs with batching on. The committed BENCH_baseline.json comes
+// from the CI invocation minus --baseline, so the gate compares like with
+// like; ablation_batching keeps the unbatched reference row.
 //
 // A threshold of 0 disables that gate (iops/p99/cores each independently).
 // --trace-out makes the DoCeph lap sample 1-in-N client ops (default 64)
@@ -129,7 +128,6 @@ int main(int argc, char** argv) {
   long repeats = 1;
   std::string trace_out;
   long trace_sample = 64;
-  bool batching = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
@@ -144,7 +142,6 @@ int main(int argc, char** argv) {
     else if (arg == "--trace-out") trace_out = next();
     else if (arg == "--trace-sample")
       trace_sample = std::max(1l, std::strtol(next(), nullptr, 10));
-    else if (arg == "--disable-batching") batching = false;
     else {
       std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
       return 2;
@@ -157,7 +154,7 @@ int main(int argc, char** argv) {
   spec.warmup = 500'000'000;
   spec.measure = measure_ms * 1'000'000;
   spec.pg_num = 32;
-  spec.batching = batching;
+  spec.batching = true;
 
   doceph::JsonWriter w;
   w.begin_object();
@@ -226,7 +223,8 @@ int main(int argc, char** argv) {
     // baseline lap's ~4x higher op rate (~125 MiB of fresh inline payloads
     // over the run) still averages well under each shard's 0.85 * 64 MiB
     // nearfull ceiling with margin for hash imbalance.
-    small.shards = 4;
+    small.op_shards = 4;
+    small.kv_shards = 4;
     small.measure = 250'000'000;  // 250 ms
     for (const auto mode : {doceph::cluster::DeployMode::baseline,
                             doceph::cluster::DeployMode::doceph}) {

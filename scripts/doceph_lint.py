@@ -128,8 +128,8 @@ TRACE_DECL_RE = re.compile(r"\"((?:[a-z0-9_]+\.)+[a-z0-9_]+)\"")
 FIRST_RE = re.compile(r"\bl_([A-Za-z0-9_]+)_first\s*=\s*(\d+)")
 
 # shard-bounds: a `*_shards` knob DECLARATION (int member/local with an
-# initializer). `op_shards_override`-style names deliberately do not match:
-# overrides funnel through the knob they override, which carries the clamp.
+# initializer). Only names ending in `_shards` match: a knob that merely
+# feeds one of those funnels through it, and that knob carries the clamp.
 SHARD_DECL_RE = re.compile(r"\bint\s+(\w*_shards)\s*=")
 # A line "checks" a knob when it mentions the knob together with a clamp
 # or an assertion. `>= 1` covers hand-rolled guards and doc'd asserts.

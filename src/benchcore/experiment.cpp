@@ -1,7 +1,6 @@
 #include "benchcore/experiment.h"
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -22,7 +21,7 @@ std::uint64_t storage_class_ctx(const sim::StatsRegistry& stats, sim::ThreadClas
 
 }  // namespace
 
-std::string RunSpec::cache_key() const {
+std::string RunSpec::label() const {
   std::ostringstream os;
   os << (mode == cluster::DeployMode::baseline ? "base" : "doceph") << "_"
      << (net == cluster::NetworkKind::gbe_100 ? "100g" : "1g") << "_"
@@ -36,19 +35,14 @@ std::string RunSpec::cache_key() const {
   if (dma_failure_rate > 0) os << "_f" << static_cast<int>(dma_failure_rate * 1e4);
   if (reuse_objects > 0) os << "_r" << reuse_objects;
   if (backpressure) os << "_bp";
-  {
-    // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_shOPxKV`
-    // when the ablation overrides split op- and kv-shard counts. Nothing
-    // at 1/1 so the committed paper cells keep their keys.
-    const int op_sh = op_shards_override > 0 ? op_shards_override : shards;
-    const int kv_sh = kv_shards_override > 0 ? kv_shards_override : shards;
-    if (op_sh != kv_sh)
-      os << "_sh" << op_sh << "x" << kv_sh;
-    else if (op_sh > 1)
-      os << "_sh" << op_sh;
-  }
+  // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_shOPxKV` when
+  // op- and kv-shard counts differ; nothing when unsharded.
+  if (op_shards != kv_shards)
+    os << "_sh" << op_shards << "x" << kv_shards;
+  else if (op_shards > 1)
+    os << "_sh" << op_shards;
   if (batching) {
-    // Batched cells key on the coalescing knobs too (swept by
+    // Batched cells name the coalescing knobs too (swept by
     // ablation_batching): depth and flush deadlines change the numbers.
     const auto& db = proxy_override ? proxy_override->dma_batch
                                     : cluster::default_proxy().dma_batch;
@@ -79,12 +73,9 @@ RunResult run_experiment(const RunSpec& spec) {
   auto cfg = cluster::ClusterConfig::paper_testbed(spec.mode, spec.net,
                                                    /*retain_data=*/false);
   cfg.pg_num = spec.pg_num;
-  // Write-path sharding: op lanes and KV shards move together unless an
-  // ablation override splits them (both clamped >= 1 downstream).
-  cfg.osd_template.op_shards =
-      spec.op_shards_override > 0 ? spec.op_shards_override : spec.shards;
-  cfg.kv_shards =
-      spec.kv_shards_override > 0 ? spec.kv_shards_override : spec.shards;
+  // Write-path sharding (both clamped >= 1 downstream).
+  cfg.osd_template.op_shards = spec.op_shards;
+  cfg.kv_shards = spec.kv_shards;
   if (spec.proxy_override) cfg.proxy = *spec.proxy_override;
   // Sharded deployments provision one staging slot per op lane (DESIGN.md
   // §15): the paper's single pre-established slot is the unsharded hot
@@ -258,7 +249,7 @@ RunResult run_experiment(const RunSpec& spec) {
 
     // Backpressure telemetry: throttled bounces by layer (counters were
     // reset at the start of the measured window; all zero with the knobs
-    // off, so legacy cells are unaffected).
+    // off).
     for (int i = 0; i < nodes; ++i) {
       result.osd_throttled += cl.osd(i).perf_counters()->get(osd::l_osd_op_throttled);
       if (auto* p = cl.proxy_store(i)) {
@@ -270,13 +261,6 @@ RunResult run_experiment(const RunSpec& spec) {
     result.client_throttled =
         cl.client().perf_counters()->get(client::l_client_op_throttled);
 
-    if (spec.dump_admin) {
-      for (const char* cmd : {"perf dump", "dump_historic_ops"}) {
-        std::fprintf(stderr, "[bench admin] %s: %s\n", cmd,
-                     cl.admin_dump(cmd).c_str());
-      }
-    }
-
     cl.stop();
 
     // Dump traces after stop so every span has been closed at a
@@ -284,7 +268,7 @@ RunResult run_experiment(const RunSpec& spec) {
     if (!spec.trace_out.empty()) {
       std::string path = spec.trace_out;
       if (const auto pos = path.find("%k"); pos != std::string::npos)
-        path.replace(pos, 2, spec.cache_key());
+        path.replace(pos, 2, spec.label());
       std::ofstream out(path);
       if (out) {
         out << cl.dump_traces() << "\n";
@@ -294,91 +278,6 @@ RunResult run_experiment(const RunSpec& spec) {
       }
     }
   });
-  return result;
-}
-
-// ---- cache ---------------------------------------------------------------------
-
-namespace {
-
-constexpr const char* kCacheDir = "bench_cache";
-
-#define DOCEPH_RESULT_FIELDS(X)                                                   \
-  X(iops) X(mbps) X(avg_lat_s) X(p50_lat_s) X(p99_lat_s) X(host_cores)            \
-  X(dpu_cores)                                                                    \
-  X(share_messenger) X(share_objectstore) X(share_osd) X(total_ceph_cores)        \
-  X(window_s) X(bd_host_write_s) X(bd_dma_s) X(bd_dma_wait_s) X(bd_others_s)      \
-  X(bd_total_s) X(stage_msgr_s) X(stage_queue_s) X(stage_store_s)                 \
-  X(stage_repl_s) X(stage_reply_s) X(stage_total_s)
-
-bool load_cached(const std::string& key, RunResult& out) {
-  std::ifstream in(std::string(kCacheDir) + "/" + key);
-  if (!in) return false;
-  std::string name;
-  double value = 0;
-  while (in >> name >> value) {
-#define DOCEPH_LOAD(f) \
-  if (name == #f) {    \
-    out.f = value;     \
-    continue;          \
-  }
-    DOCEPH_RESULT_FIELDS(DOCEPH_LOAD)
-#undef DOCEPH_LOAD
-    if (name == "ctx_messenger") out.ctx_messenger = static_cast<std::uint64_t>(value);
-    if (name == "ctx_objectstore")
-      out.ctx_objectstore = static_cast<std::uint64_t>(value);
-    if (name == "ops") out.ops = static_cast<std::uint64_t>(value);
-    if (name == "failed_ops") out.failed_ops = static_cast<std::uint64_t>(value);
-    if (name == "dma_fallback_events")
-      out.dma_fallback_events = static_cast<std::uint64_t>(value);
-    if (name == "rpc_fallback_bytes")
-      out.rpc_fallback_bytes = static_cast<std::uint64_t>(value);
-    if (name == "osd_throttled") out.osd_throttled = static_cast<std::uint64_t>(value);
-    if (name == "client_throttled")
-      out.client_throttled = static_cast<std::uint64_t>(value);
-    if (name == "proxy_throttled")
-      out.proxy_throttled = static_cast<std::uint64_t>(value);
-  }
-  return true;
-}
-
-void store_cached(const std::string& key, const RunResult& r) {
-  std::error_code ec;
-  std::filesystem::create_directories(kCacheDir, ec);
-  std::ofstream out(std::string(kCacheDir) + "/" + key);
-  if (!out) return;
-  out.precision(12);
-#define DOCEPH_STORE(f) out << #f << " " << r.f << "\n";
-  DOCEPH_RESULT_FIELDS(DOCEPH_STORE)
-#undef DOCEPH_STORE
-  out << "ctx_messenger " << r.ctx_messenger << "\n";
-  out << "ctx_objectstore " << r.ctx_objectstore << "\n";
-  out << "ops " << r.ops << "\n";
-  out << "failed_ops " << r.failed_ops << "\n";
-  out << "dma_fallback_events " << r.dma_fallback_events << "\n";
-  out << "rpc_fallback_bytes " << r.rpc_fallback_bytes << "\n";
-  out << "osd_throttled " << r.osd_throttled << "\n";
-  out << "client_throttled " << r.client_throttled << "\n";
-  out << "proxy_throttled " << r.proxy_throttled << "\n";
-}
-
-}  // namespace
-
-RunResult run_cached(const RunSpec& spec) {
-  const std::string key = spec.cache_key();
-  // The trace artifact is the whole point of a traced run, so a cached
-  // result (which has no trace file) must not satisfy it. The run still
-  // refreshes the numeric cache for later untraced callers.
-  const bool tracing = spec.trace_sample_every > 0 || !spec.trace_out.empty();
-  const bool no_cache = std::getenv("DOCEPH_NO_CACHE") != nullptr;
-  RunResult result;
-  if (!no_cache && !tracing && load_cached(key, result)) {
-    std::fprintf(stderr, "[bench] cache hit: %s\n", key.c_str());
-    return result;
-  }
-  std::fprintf(stderr, "[bench] running: %s\n", key.c_str());
-  result = run_experiment(spec);
-  if (!no_cache) store_cached(key, result);
   return result;
 }
 

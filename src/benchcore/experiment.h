@@ -21,8 +21,8 @@ struct RunSpec {
 
   /// Hot-path batching (comch doorbell coalescing, scatter-gather DMA,
   /// messenger write corking). Off by default: the paper's hot path has no
-  /// coalescing and the figure sweeps (and their committed bench_cache
-  /// cells) reproduce the paper. perf_smoke and ablation_batching opt in.
+  /// coalescing, and the figure sweep reproduces the paper's calibration
+  /// (DESIGN.md §13.4). perf_smoke and ablation_batching opt in.
   bool batching = false;
 
   /// >0: writers cycle through a bounded object working set (see
@@ -34,37 +34,31 @@ struct RunSpec {
   /// End-to-end backpressure: bounded OSD/proxy queues replying
   /// Errc::throttled, nearfull write shedding, and client AIMD flow
   /// control. Off by default — the paper profiles predate admission
-  /// control, and the committed figure cells must stay byte-identical.
+  /// control.
   bool backpressure = false;
 
-  /// Write-path sharding (DESIGN.md §15): sets OsdConfig::op_shards and
-  /// ClusterConfig::kv_shards together. 1 (default) keeps the committed
-  /// figure cells byte-identical; >1 adds a `_shN` cache-key suffix.
-  int shards = 1;
-  /// Ablation overrides splitting the diagonal: 0 = follow `shards`.
-  int op_shards_override = 0;
-  int kv_shards_override = 0;
+  /// Write-path sharding (DESIGN.md §15): OsdConfig::op_shards and
+  /// ClusterConfig::kv_shards. 1 (default) is the paper's unsharded
+  /// pipeline. More than one op lane also provisions one proxy staging
+  /// slot per lane unless `proxy_override` is set.
+  int op_shards = 1;
+  int kv_shards = 1;
 
   /// Ablation overrides for the proxy (DoCeph mode only).
   std::optional<proxy::ProxyConfig> proxy_override;
   /// DMA error injection rate (fallback experiments).
   double dma_failure_rate = 0.0;
 
-  /// Dump the cluster-wide admin surface ("perf dump", historic ops) to
-  /// stderr at the end of the measured window. Diagnostic; not cached.
-  bool dump_admin = false;
-
   /// Distributed tracing: sample every Nth client op (0 = off) and, when
   /// `trace_out` is set, write the merged Chrome trace_event JSON for the
-  /// run there. A `%k` in the path expands to cache_key(), so multi-cell
-  /// figure harnesses can emit one trace per cell. Traced runs always
-  /// execute (run_cached() bypasses the result cache); the trace fields are
-  /// deliberately not part of the cache key.
+  /// run there. A `%k` in the path expands to label(), so multi-cell
+  /// harnesses can emit one trace per cell.
   std::uint32_t trace_sample_every = 0;
   std::string trace_out;
 
-  /// Stable cache key for this configuration.
-  [[nodiscard]] std::string cache_key() const;
+  /// Short stable name for this configuration (distinct cells get distinct
+  /// labels; the trace fields are not part of it).
+  [[nodiscard]] std::string label() const;
 };
 
 /// Parse the shared tracing flags (`--trace-out <file>`,
@@ -124,14 +118,12 @@ struct RunResult {
   std::uint64_t osd_throttled = 0;
   std::uint64_t client_throttled = 0;
   std::uint64_t proxy_throttled = 0;
+
+  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 
 /// Execute the spec on a fresh simulated cluster (warmup, then measure).
+/// A cluster that fails to start yields an all-zero result (ops == 0).
 RunResult run_experiment(const RunSpec& spec);
-
-/// run_experiment with an on-disk cache (bench_cache/<key>): the paper
-/// sweep is shared by several figure binaries, so later ones reuse earlier
-/// results. Set DOCEPH_NO_CACHE=1 (or remove the directory) to force reruns.
-RunResult run_cached(const RunSpec& spec);
 
 }  // namespace doceph::benchcore

@@ -173,7 +173,7 @@ struct ClusterConfig {
 
   /// BlueStore KV shard count for every storage node (the op-lane half of
   /// the sharding contract rides in osd_template.op_shards). Clamped to
-  /// >= 1 in store_config(); 1 keeps the paper cells byte-identical.
+  /// >= 1 in store_config(); 1 is the paper's unsharded store.
   int kv_shards = 1;
 
   msgr::MessengerConfig msgr = default_msgr();
@@ -202,8 +202,8 @@ struct ClusterConfig {
     // Splitting the single 64 MiB region N ways instead would shrink the
     // per-shard checkpoint ceiling by N (worse with hash imbalance), and
     // fresh-object floods that fit the unsharded store would trip nearfull
-    // shedding. At kv_shards == 1 this is the identity, so paper cells are
-    // untouched; the data region shifts by (N-1) * 64 MiB of 256 GiB.
+    // shedding. At kv_shards == 1 this is the identity (the paper's single
+    // WAL); the data region shifts by (N-1) * 64 MiB of 256 GiB.
     cfg.wal_len *= static_cast<std::uint64_t>(cfg.kv_shards);
     cfg.device.retain_below = cfg.wal_off + cfg.wal_len;
     return cfg;

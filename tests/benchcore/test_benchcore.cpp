@@ -15,22 +15,35 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::pct(1.0, 0), "100%");
 }
 
-TEST(RunSpec, CacheKeyIsStableAndDistinct) {
+TEST(RunSpec, LabelIsStableAndDistinct) {
   RunSpec a;
   RunSpec b;
-  EXPECT_EQ(a.cache_key(), b.cache_key());
+  EXPECT_EQ(a.label(), b.label());
   b.object_size = 16 << 20;
-  EXPECT_NE(a.cache_key(), b.cache_key());
+  EXPECT_NE(a.label(), b.label());
   RunSpec c;
   c.mode = cluster::DeployMode::doceph;
-  EXPECT_NE(a.cache_key(), c.cache_key());
+  EXPECT_NE(a.label(), c.label());
   RunSpec d;
   d.proxy_override = cluster::default_proxy();
   d.proxy_override->slots = 4;
-  EXPECT_NE(a.cache_key(), d.cache_key());
+  EXPECT_NE(a.label(), d.label());
   RunSpec e;
   e.dma_failure_rate = 0.01;
-  EXPECT_NE(a.cache_key(), e.cache_key());
+  EXPECT_NE(a.label(), e.label());
+  // Op lanes and KV shards are separate dimensions: a split cell is
+  // distinct from its mirror, from the diagonal and from the unsharded one.
+  RunSpec op4;
+  op4.op_shards = 4;
+  RunSpec kv4;
+  kv4.kv_shards = 4;
+  RunSpec both4;
+  both4.op_shards = both4.kv_shards = 4;
+  EXPECT_NE(op4.label(), kv4.label());
+  EXPECT_NE(op4.label(), both4.label());
+  EXPECT_NE(kv4.label(), both4.label());
+  EXPECT_NE(a.label(), op4.label());
+  EXPECT_NE(a.label(), kv4.label());
 }
 
 TEST(BreakdownSnapshot, OthersIsResidualAndNonNegative) {
@@ -68,6 +81,32 @@ TEST(Experiment, ShortRunProducesCoherentMetrics) {
   const double share_sum = r.share_messenger + r.share_objectstore + r.share_osd;
   EXPECT_LE(share_sum, 1.0 + 1e-9);
   EXPECT_GT(r.window_s, 0.7);
+}
+
+// paper_figures runs every cell of the sweep in one process, so a cell's
+// result must not depend on what ran before it: no state may leak from one
+// run_experiment into the next.
+TEST(Experiment, CellResultIndependentOfRunOrder) {
+  RunSpec a;
+  a.mode = cluster::DeployMode::doceph;
+  a.object_size = 1 << 20;
+  a.concurrency = 8;
+  a.warmup = 100'000'000;
+  a.measure = 300'000'000;
+  a.pg_num = 16;
+  RunSpec b = a;
+  b.mode = cluster::DeployMode::baseline;
+  b.object_size = 16 << 10;
+
+  const RunResult first = run_experiment(a);
+  const RunResult other = run_experiment(b);
+  const RunResult again = run_experiment(a);
+  ASSERT_GT(first.ops, 0u);
+  ASSERT_GT(other.ops, 0u);
+  EXPECT_EQ(first.ops, again.ops);
+  EXPECT_EQ(first.iops, again.iops);
+  // Every field, via RunResult's defaulted operator==.
+  EXPECT_TRUE(first == again) << "a RunResult field differs between the two A runs";
 }
 
 }  // namespace
