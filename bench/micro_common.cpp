@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks of the hot real-computation primitives:
 // crc32c (every message pays it; the run-time-selected and the software
 // kernel), bufferlist rope operations, and the denc-style encoding. These
-// run in real time (no simulation involved).
+// run in real time (no simulation involved), except BM_KeeperHandoff, which
+// times the simulator's own cost of passing the run baton between two sim
+// threads.
 #include <benchmark/benchmark.h>
 
 #include "common/buffer.h"
@@ -9,7 +11,10 @@
 #include "common/encoding.h"
 #include "common/histogram.h"
 #include "crush/crush_map.h"
+#include "dbg/cond_var.h"
+#include "dbg/mutex.h"
 #include "os/transaction.h"
+#include "sim/env.h"
 
 namespace {
 
@@ -96,6 +101,49 @@ void BM_HistogramRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HistogramRecord);
+
+// Two sim threads ping-pong over one CondVar; each iteration is two baton
+// handoffs and no simulated time passes. per_handoff is wall time.
+void BM_KeeperHandoff(benchmark::State& state) {
+  sim::Env env;
+  dbg::Mutex m("bench.handoff");
+  dbg::CondVar cv(env.keeper(), "bench.handoff_cv");
+  std::uint64_t turn = 0;  // odd: pong's turn
+  bool done = false;
+  sim::Thread pong = env.spawn("pong", nullptr, [&] {
+    dbg::UniqueLock lk(m);
+    while (true) {
+      cv.wait(lk, [&] {
+        m.assert_held();
+        return done || turn % 2 == 1;
+      });
+      if (done) return;
+      ++turn;
+      cv.notify_one();
+    }
+  });
+  env.run_on_sim_thread(
+      [&] {
+        dbg::UniqueLock lk(m);
+        for (auto _ : state) {
+          ++turn;
+          cv.notify_one();
+          cv.wait(lk, [&] {
+            m.assert_held();
+            return turn % 2 == 0;
+          });
+        }
+        done = true;
+        cv.notify_one();
+      },
+      "ping");
+  pong.join();
+  benchmark::DoNotOptimize(turn);
+  state.counters["per_handoff"] =
+      benchmark::Counter(static_cast<double>(turn),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KeeperHandoff)->UseRealTime();
 
 }  // namespace
 

@@ -4,15 +4,18 @@
 // regresses, p99 latency inflates, or host-CPU cores climb past their
 // thresholds, so the perf-smoke CI job fails the PR.
 //
-// With --repeats N > 1 the DoCeph lap is re-run under N distinct universe
-// seeds and the per-repeat p99 latency and host-CPU cores are recorded in
-// a "doceph_variance" block. The sim is deterministic: the TimeKeeper runs
-// one registered thread at a time in a fixed order, so a rerun of the same
-// binary reproduces the JSON byte for byte (two `--repeats 3` runs on a
-// 4-core x86 box gave identical files), and the variance block measures
-// seed-to-seed spread only (rel_spread 0 there: the 1 MB lap draws no
-// seeded randomness). A gate trip is therefore a change in the code, not
-// drift. The default margins are unchanged.
+// The sim is deterministic: the TimeKeeper runs one sim thread at a time in
+// a fixed order, so a rerun of the same binary reproduces the JSON byte for
+// byte, and a gate trip is a change in the code, not drift. With
+// --repeats N > 1 the DoCeph lap is re-run N-1 more times under the same
+// seed, and the binary exits non-zero unless every repeat's result equals
+// the first lap's in every field: a full-lap determinism check, recorded
+// in the "doceph_variance" block. (The 1 MB lap draws no seeded
+// randomness, so repeats under other seeds would only measure 0.)
+//
+// The "keeper" block records, per lap, the simulator's own work
+// (sim::TimeKeeper::SelfStats): baton handoffs and clock advances over the
+// measured window and the peak number of sim threads. It is not gated.
 //
 //   perf_smoke --out BENCH_pr.json [--baseline BENCH_baseline.json]
 //              [--threshold 0.20] [--p99-threshold 0.30]
@@ -45,6 +48,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchcore/experiment.h"
@@ -81,23 +85,12 @@ void emit_result(doceph::JsonWriter& w, const char* name, const RunResult& r) {
   w.end_object();
 }
 
-/// Record (not gate) the run-to-run spread of a metric across repeats.
-void emit_spread(doceph::JsonWriter& w, const char* name,
-                 const std::vector<double>& samples) {
-  double sum = 0;
-  for (const double s : samples) sum += s;
-  const double mean = sum / static_cast<double>(samples.size());
-  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+void emit_keeper(doceph::JsonWriter& w, const char* name, const RunResult& r) {
   w.key(name);
   w.begin_object();
-  w.key("samples");
-  w.begin_array();
-  for (const double s : samples) w.value(s);
-  w.end_array();
-  w.kv("mean", mean);
-  w.kv("min", *lo);
-  w.kv("max", *hi);
-  w.kv("rel_spread", mean > 0 ? (*hi - *lo) / mean : 0.0);
+  w.kv("handoffs", r.keeper_handoffs);
+  w.kv("advances", r.keeper_advances);
+  w.kv("peak_threads", r.keeper_peak_threads);
   w.end_object();
 }
 
@@ -161,6 +154,11 @@ int main(int argc, char** argv) {
   RunResult doceph_result;
   RunResult doceph_small;
   RunResult doceph_small_sharded;
+  std::vector<std::pair<const char*, RunResult>> laps;  // for the keeper block
+  const auto emit_lap = [&](const char* name, const RunResult& r) {
+    emit_result(w, name, r);
+    laps.emplace_back(name, r);
+  };
   for (const auto mode :
        {doceph::cluster::DeployMode::baseline, doceph::cluster::DeployMode::doceph}) {
     spec.mode = mode;
@@ -172,7 +170,7 @@ int main(int argc, char** argv) {
         is_doceph && !trace_out.empty() ? static_cast<std::uint32_t>(trace_sample) : 0;
     const RunResult r = doceph::benchcore::run_experiment(spec);
     if (is_doceph) doceph_result = r;
-    emit_result(w, is_doceph ? "doceph" : "baseline", r);
+    emit_lap(is_doceph ? "doceph" : "baseline", r);
     std::fprintf(stderr, "[perf-smoke] %s: %.0f ops/s, p50 %.2f ms, p99 %.2f ms\n",
                  is_doceph ? "doceph" : "baseline", r.iops, r.p50_lat_s * 1e3,
                  r.p99_lat_s * 1e3);
@@ -206,7 +204,7 @@ int main(int argc, char** argv) {
       const bool is_doceph = mode == doceph::cluster::DeployMode::doceph;
       const RunResult r = doceph::benchcore::run_experiment(small);
       if (is_doceph) doceph_small = r;
-      emit_result(w, is_doceph ? "doceph_smallwrite" : "baseline_smallwrite", r);
+      emit_lap(is_doceph ? "doceph_smallwrite" : "baseline_smallwrite", r);
       std::fprintf(stderr,
                    "[perf-smoke] %s_smallwrite: %.0f ops/s, p50 %.2f ms, "
                    "p99 %.2f ms\n",
@@ -232,10 +230,8 @@ int main(int argc, char** argv) {
       const bool is_doceph = mode == doceph::cluster::DeployMode::doceph;
       const RunResult r = doceph::benchcore::run_experiment(small);
       if (is_doceph) doceph_small_sharded = r;
-      emit_result(w,
-                  is_doceph ? "doceph_smallwrite_sharded"
-                            : "baseline_smallwrite_sharded",
-                  r);
+      emit_lap(is_doceph ? "doceph_smallwrite_sharded" : "baseline_smallwrite_sharded",
+               r);
       std::fprintf(stderr,
                    "[perf-smoke] %s_smallwrite_sharded: %.0f ops/s, p50 %.2f "
                    "ms, p99 %.2f ms\n",
@@ -244,31 +240,38 @@ int main(int argc, char** argv) {
     }
   }
 
+  w.key("keeper");
+  w.begin_object();
+  for (const auto& [name, r] : laps) emit_keeper(w, name, r);
+  w.end_object();
+
+  bool failed = false;
+
   if (repeats > 1) {
-    // Re-run the DoCeph lap under distinct seeds to characterize run-to-run
-    // variance of the metrics the gate does NOT yet cover (p99, host CPU).
-    std::vector<double> p99s{doceph_result.p99_lat_s};
-    std::vector<double> cores{doceph_result.host_cores};
+    // Re-run the DoCeph lap under the same seed: every field must repeat.
     spec.mode = doceph::cluster::DeployMode::doceph;
     spec.trace_out.clear();  // one trace artifact; repeats run untraced
     spec.trace_sample_every = 0;
+    bool identical = true;
     for (long rep = 1; rep < repeats; ++rep) {
-      spec.seed = 42 + static_cast<std::uint64_t>(rep);
       const RunResult r = doceph::benchcore::run_experiment(spec);
-      p99s.push_back(r.p99_lat_s);
-      cores.push_back(r.host_cores);
       std::fprintf(stderr,
-                   "[perf-smoke] doceph repeat %ld (seed %llu): p99 %.2f ms, "
-                   "host %.3f cores\n",
-                   rep, static_cast<unsigned long long>(spec.seed),
-                   r.p99_lat_s * 1e3, r.host_cores);
+                   "[perf-smoke] doceph repeat %ld: p99 %.2f ms, host %.3f cores, %s\n",
+                   rep, r.p99_lat_s * 1e3, r.host_cores,
+                   r == doceph_result ? "identical" : "DIFFERS");
+      identical &= r == doceph_result;
     }
     w.key("doceph_variance");
     w.begin_object();
     w.kv("repeats", static_cast<std::int64_t>(repeats));
-    emit_spread(w, "p99_lat_s", p99s);
-    emit_spread(w, "host_cores", cores);
+    w.kv("identical", identical);
     w.end_object();
+    if (!identical) {
+      std::fprintf(stderr,
+                   "[perf-smoke] FAIL: a same-seed repeat of the doceph lap "
+                   "differs from the first run\n");
+      failed = true;
+    }
   }
   w.end_object();
 
@@ -281,8 +284,6 @@ int main(int argc, char** argv) {
     out << w.str() << "\n";
   }
   std::fprintf(stderr, "[perf-smoke] wrote %s\n", out_path.c_str());
-
-  bool failed = false;
 
   // Intra-run sharding gate: needs no committed baseline, so it guards the
   // sharded write path even on a fresh checkout. op_shards=kv_shards=4 must

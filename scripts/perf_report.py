@@ -20,7 +20,7 @@ import sys
 KNOWN_CONFIGS = ["baseline", "doceph", "baseline_smallwrite", "doceph_smallwrite",
                  "baseline_smallwrite_sharded", "doceph_smallwrite_sharded"]
 # Non-result blocks perf_smoke emits alongside the configs.
-SKIP_KEYS = {"doceph_variance"}
+SKIP_KEYS = {"doceph_variance", "keeper"}
 
 METRICS = [
     # (json key, header, scale, unit, higher_is_better)

@@ -143,6 +143,7 @@ RunResult run_experiment(const RunSpec& spec) {
       }
     }
     const auto cpu0 = cl.cpu_sample();
+    const auto keeper0 = env.keeper().self_stats();
     auto& stats = env.stats();
     const std::uint64_t msgr0 = storage_class_cpu(stats, sim::ThreadClass::messenger);
     const std::uint64_t os0 = storage_class_cpu(stats, sim::ThreadClass::objectstore);
@@ -161,6 +162,10 @@ RunResult run_experiment(const RunSpec& spec) {
     const auto bres = bench.run(&cl.client_cpu());
 
     const auto cpu1 = cl.cpu_sample();
+    const auto keeper1 = env.keeper().self_stats();
+    result.keeper_handoffs = keeper1.handoffs - keeper0.handoffs;
+    result.keeper_advances = keeper1.advances - keeper0.advances;
+    result.keeper_peak_threads = keeper1.peak_threads;
     result.iops = bres.iops();
     result.mbps = bres.bandwidth_bytes_per_sec(spec.object_size) / 1e6;
     result.avg_lat_s = bres.avg_latency_s();

@@ -119,6 +119,13 @@ struct RunResult {
   std::uint64_t client_throttled = 0;
   std::uint64_t proxy_throttled = 0;
 
+  // Simulator self-cost (sim::TimeKeeper::SelfStats): baton handoffs and
+  // clock advances over the measured window, and the most sim threads
+  // alive at once up to the window's end.
+  std::uint64_t keeper_handoffs = 0;
+  std::uint64_t keeper_advances = 0;
+  int keeper_peak_threads = 0;
+
   friend bool operator==(const RunResult&, const RunResult&) = default;
 };
 

@@ -29,10 +29,9 @@ BenchResult RadosBench::run(sim::CpuDomain* domain) {
   const sim::Time end = start + cfg_.duration;
   IoCtx io = client_.io_ctx(cfg_.pool);
 
-  // The caller is typically a registered sim thread: it must not block in
-  // real time (std::thread::join) while the clock thinks it is runnable.
-  // Writers therefore announce completion through a sim CondVar; the joins
-  // afterwards return immediately.
+  // Writers announce completion through one sim CondVar, so the caller
+  // wakes once, when the last writer is done; the joins afterwards find
+  // every writer finished and return without blocking.
   dbg::Mutex done_mutex{"bench.done"};
   dbg::CondVar done_cv(env.keeper(), "bench.done_cv");
   int remaining = cfg_.concurrency;

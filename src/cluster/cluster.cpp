@@ -361,6 +361,15 @@ std::string Cluster::admin_dump(const std::string& command) {
     if (node.pstore) emit("dpu." + std::to_string(i), node.pstore->admin_socket());
   }
   if (client_) emit("client", client_->admin_socket());
+  if (command == "perf dump") {
+    const auto ks = env_.keeper().self_stats();
+    w.key("keeper");
+    w.begin_object();
+    w.kv("handoffs", ks.handoffs);
+    w.kv("advances", ks.advances);
+    w.kv("peak_threads", ks.peak_threads);
+    w.end_object();
+  }
   w.end_object();
   return w.str();
 }

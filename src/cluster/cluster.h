@@ -104,7 +104,9 @@ class Cluster {
   /// Run one admin command against every daemon and aggregate the JSON
   /// replies into an object keyed by daemon name ("mon.0", "osd.N",
   /// "dpu.N", "client"). Daemons that don't register the command are
-  /// omitted from the result.
+  /// omitted from the result. "perf dump" also carries the simulator's own
+  /// counters under "keeper" (TimeKeeper::SelfStats since the universe
+  /// started; never reset).
   [[nodiscard]] std::string admin_dump(const std::string& command);
 
   /// Chrome trace_event JSON covering every daemon in the universe (the

@@ -1,9 +1,5 @@
 #include "common/thread_name.h"
 
-#include <pthread.h>
-
-#include <algorithm>
-
 namespace doceph {
 namespace {
 
@@ -11,16 +7,8 @@ thread_local std::string t_name = "unnamed";
 
 }  // namespace
 
-void set_current_thread_name(std::string_view name) {
-  t_name.assign(name);
-  // The kernel limits names to 15 chars + NUL; truncate for the OS copy only.
-  char buf[16];
-  const std::size_t n = std::min<std::size_t>(name.size(), 15);
-  std::copy_n(name.data(), n, buf);
-  buf[n] = '\0';
-  pthread_setname_np(pthread_self(), buf);
-}
-
 const std::string& current_thread_name() noexcept { return t_name; }
+
+void swap_current_thread_name(std::string& name) noexcept { t_name.swap(name); }
 
 }  // namespace doceph

@@ -49,12 +49,7 @@ Engine& engine() {
   return *e;
 }
 
-struct Held {
-  const void* instance;
-  ClassId cls;
-};
-
-thread_local std::vector<Held> t_held;
+thread_local HeldStack t_held;
 
 const ClassInfo& info_locked(const Engine& e, ClassId cls) {
   static const ClassInfo kUnknown{"<untracked>", false};
@@ -144,14 +139,14 @@ std::string class_name(ClassId cls) {
 
 void acquire(const void* instance, ClassId cls) {
   if (!enabled() || cls == kInvalidClass) {
-    t_held.push_back(Held{instance, cls});
+    t_held.push_back(HeldLock{instance, cls});
     return;
   }
   Engine& e = engine();
   std::unique_lock<std::mutex> lk(e.m);
 
   // (b) recursive self-deadlock / unannotated same-class nesting.
-  for (const Held& h : t_held) {
+  for (const HeldLock& h : t_held) {
     const bool same_instance = h.instance == instance;
     const bool same_class = h.cls == cls;
     if (!same_instance && !(same_class && !info_locked(e, cls).rank_ordered)) continue;
@@ -167,12 +162,12 @@ void acquire(const void* instance, ClassId cls) {
                  "the class rank_ordered if an instance order is enforced)\n")
        << held_dump_locked(e);
     fire_locked(e, lk, Violation{Violation::Kind::recursive_lock, os.str()});
-    t_held.push_back(Held{instance, cls});
+    t_held.push_back(HeldLock{instance, cls});
     return;
   }
 
   // (a) order edges from every held class; report the first cycle found.
-  for (const Held& h : t_held) {
+  for (const HeldLock& h : t_held) {
     if (h.cls == cls || h.cls == kInvalidClass) continue;
     const auto key = std::make_pair(h.cls, cls);
     if (e.edges.contains(key)) continue;
@@ -202,23 +197,23 @@ void acquire(const void* instance, ClassId cls) {
       os << "  " << info_locked(e, h.cls).name << " -> " << info_locked(e, cls).name
          << "   <- attempted now\n";
       fire_locked(e, lk, Violation{Violation::Kind::lock_inversion, os.str()});
-      t_held.push_back(Held{instance, cls});
+      t_held.push_back(HeldLock{instance, cls});
       return;  // do not record the cycle-closing edge
     }
     e.edges.emplace(key, EdgeInfo{current_thread_name()});
     e.out[h.cls].insert(cls);
   }
-  t_held.push_back(Held{instance, cls});
+  t_held.push_back(HeldLock{instance, cls});
 }
 
 void acquire_trylock(const void* instance, ClassId cls) {
   if (!enabled() || cls == kInvalidClass) {
-    t_held.push_back(Held{instance, cls});
+    t_held.push_back(HeldLock{instance, cls});
     return;
   }
   Engine& e = engine();
   const std::lock_guard<std::mutex> lk(e.m);
-  for (const Held& h : t_held) {
+  for (const HeldLock& h : t_held) {
     if (h.cls == cls || h.cls == kInvalidClass) continue;
     const auto key = std::make_pair(h.cls, cls);
     if (e.edges.contains(key)) continue;
@@ -228,7 +223,7 @@ void acquire_trylock(const void* instance, ClassId cls) {
     e.edges.emplace(key, EdgeInfo{current_thread_name()});
     e.out[h.cls].insert(cls);
   }
-  t_held.push_back(Held{instance, cls});
+  t_held.push_back(HeldLock{instance, cls});
 }
 
 void release(const void* instance) noexcept {
@@ -243,7 +238,7 @@ void release(const void* instance) noexcept {
 void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* what) {
   if (!enabled() || !in_sim_thread) return;
   bool extra = false;
-  for (const Held& h : t_held) extra |= h.instance != wait_mutex;
+  for (const HeldLock& h : t_held) extra |= h.instance != wait_mutex;
   if (!extra) return;
   Engine& e = engine();
   std::unique_lock<std::mutex> lk(e.m);
@@ -258,10 +253,12 @@ void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* wha
   fire_locked(e, lk, Violation{Violation::Kind::cond_wait_holding, os.str()});
 }
 
+void swap_held_stack(HeldStack& other) noexcept { t_held.swap(other); }
+
 std::size_t held_count() noexcept { return t_held.size(); }
 
 bool is_held(const void* instance) noexcept {
-  for (const Held& h : t_held)
+  for (const HeldLock& h : t_held)
     if (h.instance == instance) return true;
   return false;
 }

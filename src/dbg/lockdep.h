@@ -97,6 +97,20 @@ void release(const void* instance) noexcept;
 /// keeper primitive for the report.
 void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* what);
 
+/// One entry of a thread's held-lock stack.
+struct HeldLock {
+  const void* instance;
+  ClassId cls;
+};
+/// A thread's held locks, oldest first.
+using HeldStack = std::vector<HeldLock>;
+
+/// Exchange the calling OS thread's held stack with `other`. Every sim
+/// thread is a fiber on one OS thread; sim::TimeKeeper swaps each fiber's
+/// own stack in and out as it switches between them, so the checks and
+/// is_held() see the running sim thread's locks only.
+void swap_held_stack(HeldStack& other) noexcept;
+
 /// Number of tracked locks the calling thread currently holds.
 [[nodiscard]] std::size_t held_count() noexcept;
 

@@ -33,7 +33,7 @@ void EventCenter::Handle::dispatch(Handler h) const {
 }
 
 void EventCenter::run() {
-  loop_tid_.store(std::this_thread::get_id());
+  loop_thread_.store(sim::TimeKeeper::current_thread());
   dbg::UniqueLock lk(mutex_);
   while (true) {
     // Drain dispatched handlers and due timers together, in order.
@@ -59,7 +59,7 @@ void EventCenter::run() {
         timers_.empty() ? sim::kTimeInfinity : timers_.begin()->first.first;
     (void)cv_.wait_until(lk, next);
   }
-  loop_tid_.store({});
+  loop_thread_.store(nullptr);
 }
 
 void EventCenter::stop() {

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "dbg/cond_var.h"
 #include "dbg/mutex.h"
@@ -73,9 +72,12 @@ class EventCenter {
   /// Best-effort cancel; true if the timer had not fired.
   bool cancel_timer(TimerId id);
 
-  /// True when called from the thread currently inside run().
+  /// True when called from the sim thread currently inside run(). Sim
+  /// threads share one OS thread, so this compares sim-thread identities
+  /// (sim::TimeKeeper::current_thread()), not OS thread ids.
   [[nodiscard]] bool in_loop_thread() const noexcept {
-    return loop_tid_ == std::this_thread::get_id();
+    const void* loop = loop_thread_.load();
+    return loop != nullptr && loop == sim::TimeKeeper::current_thread();
   }
 
   [[nodiscard]] sim::Env& env() noexcept { return env_; }
@@ -94,7 +96,7 @@ class EventCenter {
       DOCEPH_GUARDED_BY(mutex_);
   TimerId next_timer_id_ DOCEPH_GUARDED_BY(mutex_) = 1;
   bool stopping_ DOCEPH_GUARDED_BY(mutex_) = false;
-  std::atomic<std::thread::id> loop_tid_{};
+  std::atomic<const void*> loop_thread_{nullptr};
   // Atomic, not guarded: wakeups() is a diagnostics read from any thread.
   std::atomic<std::uint64_t> wakeups_{0};
   std::shared_ptr<Handle::State> handle_state_;  // nulled in the destructor

@@ -9,8 +9,7 @@ namespace doceph::sim {
 class TimeKeeper;
 class CpuDomain;
 
-/// Ambient per-thread execution context, established by sim::Thread (or
-/// manually via ScopedExecContext for externally created threads). Cost
+/// Ambient per-thread execution context, established by sim::Thread. Cost
 /// models use it to find the calling thread's CPU domain and stats without
 /// threading them through every call.
 struct ExecContext {
@@ -18,24 +17,9 @@ struct ExecContext {
   CpuDomain* domain = nullptr;          ///< may be null (housekeeping threads)
   std::shared_ptr<ThreadStats> stats;   ///< may be null
 
-  /// Context of the calling thread (default-empty if none installed).
+  /// Context of the calling sim thread (default-empty outside one). Backed
+  /// by a thread-local that the TimeKeeper swaps on every fiber switch.
   static ExecContext& current() noexcept;
-};
-
-/// RAII installation of an ExecContext on the current thread.
-class ScopedExecContext {
- public:
-  ScopedExecContext(TimeKeeper* keeper, CpuDomain* domain,
-                    std::shared_ptr<ThreadStats> stats) {
-    prev_ = ExecContext::current();
-    ExecContext::current() = ExecContext{keeper, domain, std::move(stats)};
-  }
-  ~ScopedExecContext() { ExecContext::current() = std::move(prev_); }  // NOLINT(bugprone-exception-escape): restores thread-local context; a throw terminates, by design
-  ScopedExecContext(const ScopedExecContext&) = delete;
-  ScopedExecContext& operator=(const ScopedExecContext&) = delete;
-
- private:
-  ExecContext prev_;
 };
 
 }  // namespace doceph::sim

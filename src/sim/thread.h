@@ -1,13 +1,9 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 
-#include "dbg/cond_var.h"
-#include "dbg/mutex.h"
-#include "sim/exec_context.h"
 #include "sim/stats.h"
 #include "sim/time_keeper.h"
 
@@ -15,18 +11,18 @@ namespace doceph::sim {
 
 class CpuDomain;
 
-/// A named simulation thread: a std::thread that, before running its body,
-/// names itself, registers with the TimeKeeper, allocates ThreadStats in the
-/// registry, and installs the ambient ExecContext (keeper + CPU domain).
-/// The constructor returns only after registration completed, so simulated
-/// time cannot advance past the new thread's first wait; the new thread
-/// first runs when the baton reaches it (see TimeKeeper).
+/// A named simulation thread: a fiber of the TimeKeeper (see there) that
+/// runs `body` with its own thread name, ThreadStats (allocated in the
+/// registry) and ambient ExecContext (keeper + CPU domain). The constructor
+/// queues the fiber for the run baton and returns at once, so simulated time
+/// cannot advance past the new thread's first wait; the thread first runs
+/// when the baton reaches it.
 ///
-/// join() is safe from registered sim threads: it first waits on an exit
-/// latch in *simulated* time (so the clock can keep advancing while the
-/// target winds down), then reaps the OS thread. Joins in the destructor.
-/// `daemon` marks service threads that park forever when idle (see
-/// TimeKeeper::register_current_thread).
+/// join() waits for `body` to return: in *simulated* time when called from
+/// a sim thread of the same keeper (so the clock keeps advancing while the
+/// target winds down), in real time from anywhere else. Joins in the
+/// destructor. `daemon` marks service threads that park forever when idle
+/// (the keeper reports a deadlock only when a non-daemon is parked too).
 class Thread {
  public:
   Thread() = default;
@@ -34,14 +30,15 @@ class Thread {
   Thread(TimeKeeper& tk, StatsRegistry& stats, std::string name, CpuDomain* domain,
          std::function<void()> body, bool daemon = false);
 
-  Thread(Thread&&) = default;
+  Thread(Thread&& other) noexcept
+      : tk_(other.tk_), rec_(std::exchange(other.rec_, nullptr)) {}
   /// Joins the currently owned thread first, which blocks (in simulated
-  /// time) and can throw via std::thread::join — hence not noexcept.
+  /// time from a sim thread).
   Thread& operator=(Thread&& other) {
     if (this == &other) return *this;
     join();
-    impl_ = std::move(other.impl_);
-    latch_ = std::move(other.latch_);
+    tk_ = other.tk_;
+    rec_ = std::exchange(other.rec_, nullptr);
     return *this;
   }
   Thread(const Thread&) = delete;
@@ -50,20 +47,11 @@ class Thread {
   ~Thread() { join(); }  // NOLINT(bugprone-exception-escape): join at scope exit; a throw terminates, by design
 
   void join();
-  [[nodiscard]] bool joinable() const noexcept { return impl_.joinable(); }
+  [[nodiscard]] bool joinable() const noexcept { return rec_ != nullptr; }
 
  private:
-  struct ExitLatch {
-    TimeKeeper& tk;
-    dbg::Mutex m{"sim.thread_exit"};
-    dbg::CondVar cv;
-    bool exited = false;
-    explicit ExitLatch(TimeKeeper& keeper)
-        : tk(keeper), cv(keeper, "sim.thread_exit") {}
-  };
-
-  std::thread impl_;
-  std::shared_ptr<ExitLatch> latch_;
+  TimeKeeper* tk_ = nullptr;
+  TimeKeeper::ThreadRec* rec_ = nullptr;  // owned until join() frees it
 };
 
 }  // namespace doceph::sim

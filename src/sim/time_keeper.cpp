@@ -1,35 +1,134 @@
 #include "sim/time_keeper.h"
 
+#include <pthread.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <system_error>
+#include <utility>
 
 #include "common/thread_name.h"
 #include "dbg/lockdep.h"
 
+// Fiber switches must be announced to the sanitizers, which otherwise see
+// one OS thread jump between stacks.
+#if defined(__SANITIZE_ADDRESS__)
+#define DOCEPH_FIBER_ASAN 1
+#elif defined(__SANITIZE_THREAD__)
+#define DOCEPH_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DOCEPH_FIBER_ASAN 1
+#elif __has_feature(thread_sanitizer)
+#define DOCEPH_FIBER_TSAN 1
+#endif
+#endif
+#ifdef DOCEPH_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+#ifdef DOCEPH_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace doceph::sim {
 namespace {
 
-// Which keeper (if any) the current OS thread is registered with, plus its
-// record. A thread belongs to at most one keeper at a time.
+// The keeper and record of the sim thread running on this OS thread (null
+// outside one). Swapped on every fiber switch.
 thread_local TimeKeeper* t_keeper = nullptr;
 thread_local void* t_rec = nullptr;
 
+/// A fiber's stack: std::thread's default 8 MB, reserved without swap
+/// backing (only touched pages cost memory), above one PROT_NONE guard page
+/// that turns an overflow into a fault instead of silent corruption.
+class FiberStack {
+ public:
+  static constexpr std::size_t kBytes = std::size_t{8} << 20;
+
+  FiberStack() : guard_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {
+    void* map = mmap(nullptr, guard_ + kBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED)
+      throw std::system_error(errno, std::generic_category(), "sim fiber stack");
+    map_ = static_cast<char*>(map);
+    if (mprotect(map_, guard_, PROT_NONE) != 0) {
+      const int err = errno;
+      munmap(map_, guard_ + kBytes);
+      throw std::system_error(err, std::generic_category(), "sim fiber guard page");
+    }
+  }
+  ~FiberStack() {
+#ifdef DOCEPH_FIBER_ASAN
+    // Frames left on a finished fiber keep their redzones poisoned; clear
+    // them so a later mapping at this address starts clean.
+    __asan_unpoison_memory_region(bottom(), kBytes);
+#endif
+    munmap(map_, guard_ + kBytes);
+  }
+  FiberStack(const FiberStack&) = delete;
+  FiberStack& operator=(const FiberStack&) = delete;
+
+  [[nodiscard]] void* bottom() const noexcept { return map_ + guard_; }
+
+ private:
+  std::size_t guard_;
+  char* map_ = nullptr;
+};
+
 }  // namespace
 
-TimeKeeper::TimeKeeper(Mode /*mode*/)
-    : cpu_(sched_getcpu()), watchdog_([this] { watchdog_loop(); }) {}
+/// One execution context on the engine thread: the engine's own, or a sim
+/// thread's. While a context is switched out its fiber-local state (thread
+/// name, ExecContext, lockdep held stack) is parked here; while it runs,
+/// the OS thread's thread-locals hold it and these fields hold leftovers.
+struct TimeKeeper::Fiber {
+  ucontext_t uc{};
+  ThreadRec* rec = nullptr;  // null for the engine
+  std::string name;
+  ExecContext exec;
+  dbg::lockdep::HeldStack held;
+  // The context's stack, as the sanitizers need it.
+  void* stack_bottom = nullptr;
+  std::size_t stack_bytes = 0;
+  void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;
+};
 
-TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stops the watchdog; a throw terminates, by design
+struct TimeKeeper::ThreadRec {
+  std::string name;
+  std::shared_ptr<ThreadStats> stats;
+  bool daemon = false;
+  bool blocked = false;
+  Time deadline = kTimeInfinity;
+  bool notified = false;
+  bool finished = false;            // switched away for good
+  std::vector<ThreadRec*> joiners;  // sim threads blocked in join() on this one
+  std::function<void()> body;
+  std::unique_ptr<FiberStack> stack;  // freed as soon as the fiber finishes
+  Fiber fiber;
+};
+
+TimeKeeper::TimeKeeper(Mode /*mode*/)
+    : engine_thread_([this] { engine_loop(); }), watchdog_([this] { watchdog_loop(); }) {}
+
+TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stops the engine and the watchdog; a throw terminates, by design
   {
     const dbg::LockGuard lock(mutex_);
+    assert(threads_.empty() && "threads still registered at TimeKeeper teardown");
+    engine_stop_ = true;
+    engine_cv_.notify_all();
     watchdog_stop_ = true;
     watchdog_cv_.notify_all();
-    assert(threads_.empty() && "threads still registered at TimeKeeper teardown");
   }
-  if (watchdog_.joinable()) watchdog_.join();
+  engine_thread_.join();
+  watchdog_.join();
 }
 
 Time TimeKeeper::now() const {
@@ -37,79 +136,161 @@ Time TimeKeeper::now() const {
   return now_;
 }
 
-void TimeKeeper::register_current_thread(std::shared_ptr<ThreadStats> stats,
-                                         bool daemon) {
-  enroll_current_thread(std::move(stats), daemon);
-  await_baton();
-}
-
-void TimeKeeper::enroll_current_thread(std::shared_ptr<ThreadStats> stats,
-                                       bool daemon) {
-  assert(t_keeper == nullptr && "thread already registered with a TimeKeeper");
-  auto* rec = new ThreadRec;
-  rec->name = current_thread_name();
-  rec->stats = std::move(stats);
+TimeKeeper::ThreadRec* TimeKeeper::spawn(std::string name, ExecContext ctx,
+                                         std::function<void()> body, bool daemon) {
+  auto rec = std::make_unique<ThreadRec>();
+  rec->name = name;
+  rec->stats = ctx.stats;
   rec->daemon = daemon;
-  if (cpu_ >= 0 && sched_getaffinity(0, sizeof(rec->saved_affinity),
-                                     &rec->saved_affinity) == 0) {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu_, &one);
-    rec->pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
-  }
-  // SCHED_BATCH: a thread woken by a handoff must not preempt the waker on
-  // their shared CPU, since the waker is about to block anyway.
-  rec->saved_policy = sched_getscheduler(0);
-  if (rec->saved_policy >= 0 && sched_getparam(0, &rec->saved_param) == 0) {
-    const sched_param batch{};
-    if (sched_setscheduler(0, SCHED_BATCH, &batch) != 0) rec->saved_policy = -1;
-  } else {
-    rec->saved_policy = -1;
-  }
-  {
-    const dbg::LockGuard lock(mutex_);
-    threads_.push_back(rec);
-    ready_.push_back(rec);
-    ++epoch_;
-    parked_suspect_ = false;
-    if (holder_ == nullptr) pass_baton_locked();
-  }
-  t_keeper = this;
-  t_rec = rec;
+  rec->body = std::move(body);
+  rec->stack = std::make_unique<FiberStack>();
+  Fiber& f = rec->fiber;
+  f.rec = rec.get();
+  f.name = std::move(name);
+  f.exec = std::move(ctx);
+  f.stack_bottom = rec->stack->bottom();
+  f.stack_bytes = FiberStack::kBytes;
+  if (getcontext(&f.uc) != 0)
+    throw std::system_error(errno, std::generic_category(), "sim fiber context");
+  f.uc.uc_stack.ss_sp = f.stack_bottom;
+  f.uc.uc_stack.ss_size = f.stack_bytes;
+  f.uc.uc_link = nullptr;
+  makecontext(&f.uc, &TimeKeeper::fiber_main, 0);
+#ifdef DOCEPH_FIBER_TSAN
+  f.tsan_fiber = __tsan_create_fiber(0);
+#endif
+
+  const dbg::LockGuard lock(mutex_);
+  threads_.push_back(rec.get());
+  ready_.push_back(rec.get());
+  peak_threads_ = std::max(peak_threads_, threads_.size());
+  ++epoch_;
+  parked_suspect_ = false;
+  resume_locked();
+  return rec.release();
 }
 
-void TimeKeeper::await_baton() {
-  ThreadRec& rec = current_rec();
-  dbg::UniqueLock lk(mutex_);
-  while (holder_ != &rec) rec.cv.wait(lk.inner());
+void TimeKeeper::fiber_main() noexcept {
+  TimeKeeper& tk = *t_keeper;
+  ThreadRec& rec = *static_cast<ThreadRec*>(t_rec);
+  tk.switched_in(rec.fiber);
+  rec.body();
+  rec.body = nullptr;  // captures die while this is still a sim thread
+
+  dbg::UniqueLock lk(tk.mutex_);
+  assert(tk.holder_ == &rec && !rec.blocked);
+  for (ThreadRec* joiner : rec.joiners) tk.notify_locked(*joiner);
+  rec.joiners.clear();
+  tk.threads_.erase(std::find(tk.threads_.begin(), tk.threads_.end(), &rec));
+  ++tk.epoch_;
+  tk.parked_suspect_ = false;
+  tk.holder_ = nullptr;
+  tk.pass_baton_locked();
+  tk.zombie_ = &rec;
+  ThreadRec* next = tk.holder_;
+  lk.unlock();
+  tk.switch_to(rec.fiber, next, /*from_exits=*/true);
+  std::abort();  // a finished fiber is never resumed
 }
 
-void TimeKeeper::unregister_current_thread() {
-  assert(t_keeper == this && "thread not registered with this TimeKeeper");
-  auto* rec = static_cast<ThreadRec*>(t_rec);
+void TimeKeeper::join(ThreadRec* rec) {
   {
-    const dbg::LockGuard lock(mutex_);
-    assert(holder_ == rec && !rec->blocked);
-    threads_.erase(std::find(threads_.begin(), threads_.end(), rec));
-    ++epoch_;
-    parked_suspect_ = false;
-    holder_ = nullptr;
-    pass_baton_locked();
+    dbg::UniqueLock lk(mutex_);
+    if (current_thread_registered()) {
+      ThreadRec& self = current_rec();
+      if (!rec->finished) {
+        lk.unlock();
+        dbg::lockdep::cond_wait_check(nullptr, /*in_sim_thread=*/true,
+                                      "sim::Thread::join");
+        lk.lock();
+      }
+      while (!rec->finished) {
+        rec->joiners.push_back(&self);
+        (void)wait_locked(lk, self, kTimeInfinity);
+        // A blanket wake (deadlock handler) leaves us queued; drop the entry.
+        std::erase(rec->joiners, &self);
+      }
+    } else {
+      finished_cv_.wait(lk.inner(), [&] { return rec->finished; });
+    }
   }
-  if (rec->pinned)
-    (void)sched_setaffinity(0, sizeof(rec->saved_affinity), &rec->saved_affinity);
-  if (rec->saved_policy >= 0)
-    (void)sched_setscheduler(0, rec->saved_policy, &rec->saved_param);
   delete rec;
-  t_keeper = nullptr;
-  t_rec = nullptr;
 }
+
+void TimeKeeper::switch_to(Fiber& from, ThreadRec* to,
+                           [[maybe_unused]] bool from_exits) {
+  Fiber& next = to != nullptr ? to->fiber : *engine_;
+  // Park the outgoing context's fiber-local state, install the incoming
+  // one's (each swap trades the running context's values for its slot's).
+  for (Fiber* f : {&from, &next}) {
+    swap_current_thread_name(f->name);
+    std::swap(ExecContext::current(), f->exec);
+    dbg::lockdep::swap_held_stack(f->held);
+  }
+  t_keeper = next.rec != nullptr ? this : nullptr;
+  t_rec = next.rec;
+#ifdef DOCEPH_FIBER_ASAN
+  __sanitizer_start_switch_fiber(from_exits ? nullptr : &from.asan_fake_stack,
+                                 next.stack_bottom, next.stack_bytes);
+#endif
+#ifdef DOCEPH_FIBER_TSAN
+  __tsan_switch_to_fiber(next.tsan_fiber, 0);
+#endif
+  swapcontext(&from.uc, &next.uc);
+  switched_in(from);
+}
+
+void TimeKeeper::switched_in([[maybe_unused]] Fiber& self) {
+#ifdef DOCEPH_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(self.asan_fake_stack, nullptr, nullptr);
+#endif
+  ThreadRec* zombie = std::exchange(zombie_, nullptr);
+  if (zombie == nullptr) return;
+  zombie->stack.reset();
+#ifdef DOCEPH_FIBER_TSAN
+  __tsan_destroy_fiber(zombie->fiber.tsan_fiber);
+#endif
+  const dbg::LockGuard lock(mutex_);
+  zombie->finished = true;
+  finished_cv_.notify_all();
+}
+
+void TimeKeeper::engine_loop() {
+  Fiber self;
+#ifdef DOCEPH_FIBER_ASAN
+  pthread_attr_t attr;
+  if (pthread_getattr_np(pthread_self(), &attr) == 0) {
+    (void)pthread_attr_getstack(&attr, &self.stack_bottom, &self.stack_bytes);
+    pthread_attr_destroy(&attr);
+  }
+#endif
+#ifdef DOCEPH_FIBER_TSAN
+  self.tsan_fiber = __tsan_get_current_fiber();
+#endif
+  engine_ = &self;
+  dbg::UniqueLock lk(mutex_);
+  while (true) {
+    engine_cv_.wait(lk.inner(), [&] { return holder_ != nullptr || engine_stop_; });
+    if (holder_ == nullptr) return;  // stopping, and nothing left to run
+    ThreadRec* next = holder_;
+    lk.unlock();
+    switch_to(self, next);
+    lk.lock();
+  }
+}
+
+const void* TimeKeeper::current_thread() noexcept { return t_rec; }
 
 bool TimeKeeper::current_thread_registered() const { return t_keeper == this; }
 
 int TimeKeeper::registered_threads() const {
   const dbg::LockGuard lock(mutex_);
   return static_cast<int>(threads_.size());
+}
+
+TimeKeeper::SelfStats TimeKeeper::self_stats() const {
+  const dbg::LockGuard lock(mutex_);
+  return SelfStats{handoffs_, advances_, static_cast<int>(peak_threads_)};
 }
 
 void TimeKeeper::set_deadlock_handler(std::function<void(const std::string&)> h) {
@@ -125,7 +306,7 @@ void TimeKeeper::set_deadlock_grace(std::chrono::milliseconds grace) {
 
 TimeKeeper::ThreadRec& TimeKeeper::current_rec() {
   assert(t_keeper == this &&
-         "calling thread must be registered with this TimeKeeper before blocking");
+         "only a sim thread of this TimeKeeper may block in it");
   return *static_cast<ThreadRec*>(t_rec);
 }
 
@@ -149,7 +330,13 @@ bool TimeKeeper::wait_locked(dbg::UniqueLock& lk, ThreadRec& rec,
   if (rec.stats) rec.stats->ctx_switches.fetch_add(1, std::memory_order_relaxed);
   holder_ = nullptr;
   pass_baton_locked();
-  while (holder_ != &rec) rec.cv.wait(lk.inner());
+  ThreadRec* next = holder_;
+  if (next != &rec) {  // else the clock advanced straight to our own deadline
+    lk.unlock();
+    switch_to(rec.fiber, next);
+    lk.lock();
+  }
+  assert(holder_ == &rec);
   return rec.notified;
 }
 
@@ -160,17 +347,22 @@ void TimeKeeper::notify_locked(ThreadRec& rec) {
   ready_.push_back(&rec);
   ++epoch_;
   parked_suspect_ = false;
-  if (holder_ == nullptr) pass_baton_locked();  // notified from outside the sim
+  resume_locked();  // a no-op unless notified from outside the sim
 }
 
 void TimeKeeper::pass_baton_locked() {
   assert(holder_ == nullptr);
   if (ready_.empty()) advance_locked();
-  if (ready_.empty()) return;  // parked: the next notify or register resumes
+  if (ready_.empty()) return;  // parked: the next notify or spawn resumes
   holder_ = ready_.front();
   ready_.pop_front();
   ++handoffs_;
-  holder_->cv.notify_one();
+}
+
+void TimeKeeper::resume_locked() {
+  if (holder_ != nullptr) return;
+  pass_baton_locked();
+  if (holder_ != nullptr) engine_cv_.notify_one();
 }
 
 void TimeKeeper::hold_advance() {
@@ -184,7 +376,7 @@ void TimeKeeper::release_advance() {
   const dbg::LockGuard lock(mutex_);
   --holds_;
   ++epoch_;
-  if (holds_ == 0 && holder_ == nullptr) pass_baton_locked();
+  if (holds_ == 0) resume_locked();
 }
 
 void TimeKeeper::advance_locked() {
@@ -195,14 +387,14 @@ void TimeKeeper::advance_locked() {
     if (rec->blocked) min_deadline = std::min(min_deadline, rec->deadline);
 
   if (holds_ > 0 || min_deadline == kTimeInfinity) {
-    // Either an external thread holds advancement — if every registered
-    // thread is blocked, someone had better release that hold, so a
-    // registered thread blocking under its own hold (a bug) gets reported
-    // instead of hanging silently — or nothing is scheduled. If only daemon
-    // service threads are parked, the system is quiescent; an external
-    // notify will resume it. A parked non-daemon is *suspicious* — but an
-    // unregistered external thread may be about to spawn or notify, so hand
-    // the case to the watchdog rather than deciding now.
+    // Either an outside thread holds advancement — if every sim thread is
+    // blocked, someone had better release that hold, so a sim thread
+    // blocking under its own hold (a bug) gets reported instead of hanging
+    // silently — or nothing is scheduled. If only daemon service threads
+    // are parked, the system is quiescent; an outside notify will resume
+    // it. A parked non-daemon is *suspicious* — but an outside thread may
+    // be about to spawn or notify, so hand the case to the watchdog rather
+    // than deciding now.
     bool any_nondaemon = false;
     for (const auto* rec : threads_) any_nondaemon |= !rec->daemon;
     if (any_nondaemon) {
@@ -213,6 +405,7 @@ void TimeKeeper::advance_locked() {
   }
 
   now_ = min_deadline;
+  ++advances_;
   ++epoch_;
   parked_suspect_ = false;
   for (auto* rec : threads_) {  // registration order: deterministic ties

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <sched.h>
-
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -14,6 +12,7 @@
 #include <vector>
 
 #include "dbg/mutex.h"
+#include "sim/exec_context.h"
 #include "sim/stats.h"
 #include "sim/time.h"
 
@@ -23,38 +22,41 @@ class CondVar;
 
 /// The simulation clock and thread coordinator.
 ///
-/// Every participating thread registers with the keeper and performs ALL
-/// blocking through keeper primitives (sleep_* or sim::CondVar). Registered
-/// threads take turns: at most one of them runs at a time, the holder of the
-/// keeper's run *baton*.
+/// Every sim thread (sim::Thread) is a fiber of the keeper: a stackful
+/// ucontext coroutine, and all of them run on one keeper-owned *engine* OS
+/// thread. Sim threads perform ALL blocking through keeper primitives
+/// (sleep_* or sim::CondVar) and take turns: exactly one of them runs at a
+/// time, the holder of the keeper's run *baton*.
 ///
-///  - A blocking holder hands the baton to the head of a FIFO run queue.
+///  - A blocking holder hands the baton to the head of a FIFO run queue and
+///    switches straight into that fiber (one swapcontext, no OS wakeup).
 ///  - A notify only appends its target to that queue; it never starts a
 ///    race between threads.
-///  - When the queue is empty and every registered thread is blocked, the
-///    keeper advances the clock to the earliest wake deadline and queues the
-///    threads due then in registration (spawn) order.
+///  - When the queue is empty and every sim thread is blocked, the keeper
+///    advances the clock to the earliest wake deadline and queues the
+///    threads due then in registration (spawn) order. If nothing is due,
+///    the holder switches back to the engine, which parks until an outside
+///    thread (a test's main, bring-up code, the watchdog) spawns or
+///    notifies.
 ///
 /// A simulated minute of cluster traffic therefore finishes in wall
-/// milliseconds, and the interleaving of registered threads is a function
-/// of the program and its seed alone: same-seed runs are byte-identical on
-/// any core count. Only unregistered threads (a test's main, bring-up code)
-/// still run on OS scheduling alongside the baton holder.
+/// milliseconds, and the interleaving of sim threads is a function of the
+/// program and its seed alone: same-seed runs are byte-identical on any
+/// core count. Only threads outside the keeper (a test's main, bring-up
+/// code) still run on OS scheduling alongside the engine.
 ///
-/// Because no two registered threads ever run at once, the keeper confines
-/// them to the CPU it was created on, so every handoff is a same-core
-/// context switch instead of a cross-core wakeup, and runs them under
-/// SCHED_BATCH, so the woken thread does not preempt the waker before it
-/// blocks. A thread gets its previous affinity and policy back when it
-/// unregisters; if the OS refuses either, the thread simply runs without it
-/// (slower, not wrong).
+/// Per-thread state that code reads as thread-local — the thread name, the
+/// ExecContext, lockdep's held-lock stack and the keeper's own record — is
+/// per fiber: every switch saves the outgoing fiber's copy and installs the
+/// incoming one's. The C++ runtime's exception state is not switched, so no
+/// sim thread may block inside a catch handler or while unwinding.
 ///
-/// Discipline: a registered thread must never block on a bare std::
-/// primitive for unbounded time — it keeps the baton while blocked, which
-/// stalls the whole simulation. std::mutex critical sections are fine (they
-/// take zero simulated time) as long as no lock is held across a keeper
-/// block; lockdep check (c) enforces that for tracked locks, and the
-/// watchdog reports a baton holder that stops handing off.
+/// Discipline: a sim thread must never block on a bare std:: primitive for
+/// unbounded time — it keeps the baton (and the engine thread) while
+/// blocked, which stalls the whole simulation. std::mutex critical sections
+/// are fine (they take zero simulated time) as long as no lock is held
+/// across a keeper block; lockdep check (c) enforces that for tracked
+/// locks, and the watchdog reports a baton holder that stops handing off.
 class TimeKeeper {
  public:
   /// Virtual time is the only mode; the enum stays so that call sites that
@@ -69,51 +71,39 @@ class TimeKeeper {
 
   [[nodiscard]] Time now() const;
 
-  /// Block the calling (registered) thread for `d` of simulated time.
+  /// Block the calling sim thread for `d` of simulated time.
   void sleep_for(Duration d);
   void sleep_until(Time t);
 
-  /// Register / unregister the calling thread. Threads must be registered
-  /// before sleeping or waiting on a sim::CondVar. Registration returns once
-  /// the thread holds the baton. `stats` may be null (e.g. housekeeping
-  /// threads).
-  ///
-  /// `daemon` marks service threads that legitimately park forever waiting
-  /// for work (event loops, thread pools, the scheduler). When every
-  /// registered thread is blocked without a deadline, the keeper reports a
-  /// deadlock only if a non-daemon thread is among them; an all-daemon
-  /// quiescent system simply parks until an external notify.
-  void register_current_thread(std::shared_ptr<ThreadStats> stats, bool daemon = false);
-  void unregister_current_thread();
-
-  /// RAII registration for externally created threads (gtest main thread...).
-  class ThreadGuard {
-   public:
-    ThreadGuard(TimeKeeper& tk, std::shared_ptr<ThreadStats> stats = nullptr,
-                bool daemon = false)
-        : tk_(tk) {
-      tk_.register_current_thread(std::move(stats), daemon);
-    }
-    ~ThreadGuard() { tk_.unregister_current_thread(); }  // NOLINT(bugprone-exception-escape): unregister takes the keeper lock; a throw terminates, by design
-    ThreadGuard(const ThreadGuard&) = delete;
-    ThreadGuard& operator=(const ThreadGuard&) = delete;
-
-   private:
-    TimeKeeper& tk_;
-  };
-
   [[nodiscard]] int registered_threads() const;
 
-  /// True iff the calling thread is registered with *this* keeper.
+  /// True iff the caller is a sim thread of *this* keeper.
   [[nodiscard]] bool current_thread_registered() const;
 
+  /// Identity of the calling sim thread (of any keeper), or null outside
+  /// one. Distinct live sim threads have distinct identities; all of them
+  /// share one OS thread, so std::this_thread::get_id() cannot tell them
+  /// apart.
+  [[nodiscard]] static const void* current_thread() noexcept;
+
+  /// The keeper's own work since construction, for `perf dump` and
+  /// perf_smoke: baton handoffs (each a fiber switch unless the blocking
+  /// holder is itself the next one due), clock advances, and the most sim
+  /// threads registered at once.
+  struct SelfStats {
+    std::uint64_t handoffs = 0;
+    std::uint64_t advances = 0;
+    int peak_threads = 0;
+  };
+  [[nodiscard]] SelfStats self_stats() const;
+
   /// Invoked when the simulation wedges, with a state dump:
-  ///  - deadlock: every registered thread blocked with no wake deadline, at
-  ///    least one of them a non-daemon, and no state change for the grace
-  ///    period (an unregistered external thread — e.g. a test's main — may
-  ///    legitimately be about to spawn or notify, so the check is
-  ///    watchdog-based rather than instantaneous). All blocked threads are
-  ///    woken after the handler returns so predicate loops can unwind;
+  ///  - deadlock: every sim thread blocked with no wake deadline, at least
+  ///    one of them a non-daemon, and no state change for the grace period
+  ///    (an outside thread — e.g. a test's main — may legitimately be about
+  ///    to spawn or notify, so the check is watchdog-based rather than
+  ///    instantaneous). All blocked threads are woken after the handler
+  ///    returns so predicate loops can unwind;
   ///  - stall: the baton holder has not handed off for the grace period,
   ///    typically because it is blocked outside the keeper (a bare mutex, a
   ///    real-time wait). Nothing is woken; the holder resumes on its own
@@ -127,10 +117,10 @@ class TimeKeeper {
   void set_deadlock_grace(std::chrono::milliseconds grace);
 
   /// While any AdvanceHold is alive the clock will not advance, even if all
-  /// registered threads are blocked. Unregistered external threads (a test's
-  /// main, cluster bring-up code) take one while spawning/configuring so the
-  /// simulation cannot run ahead between two constructions; drop it before
-  /// joining or waiting for results.
+  /// sim threads are blocked. Outside threads (a test's main, cluster
+  /// bring-up code) take one while spawning/configuring so the simulation
+  /// cannot run ahead between two constructions; drop it before joining or
+  /// waiting for results.
   class AdvanceHold {
    public:
     explicit AdvanceHold(TimeKeeper& tk) : tk_(&tk) { tk_->hold_advance(); }
@@ -156,28 +146,22 @@ class TimeKeeper {
   friend class CondVar;
   friend class Thread;
 
-  struct ThreadRec {
-    std::string name;
-    std::shared_ptr<ThreadStats> stats;
-    bool daemon = false;
-    bool blocked = false;
-    Time deadline = kTimeInfinity;
-    bool notified = false;
-    std::condition_variable cv;  // signalled when this thread gets the baton
-    // Scheduling state to restore at unregister (see enroll_current_thread).
-    cpu_set_t saved_affinity{};
-    bool pinned = false;
-    int saved_policy = -1;  // -1: policy left unchanged
-    sched_param saved_param{};
-  };
+  struct Fiber;      // an execution context on the engine thread
+  struct ThreadRec;  // a sim thread: its fiber plus its run state
 
-  /// The two halves of register_current_thread(): join the run queue, then
-  /// wait for the baton. sim::Thread runs its spawn handshake in between,
-  /// because a registered spawner holds the baton while it waits.
-  void enroll_current_thread(std::shared_ptr<ThreadStats> stats, bool daemon);
-  void await_baton();
+  /// sim::Thread's half of the keeper. spawn() creates a fiber that runs
+  /// `body` with `ctx` installed and queues it for the baton; the fiber
+  /// unregisters when `body` returns. `daemon` marks service threads that
+  /// park forever waiting for work (event loops, thread pools, the
+  /// scheduler): when every sim thread is blocked without a deadline, the
+  /// keeper reports a deadlock only if a non-daemon is among them.
+  ThreadRec* spawn(std::string name, ExecContext ctx, std::function<void()> body,
+                   bool daemon);
+  /// Waits until `rec` has finished (in simulated time from a sim thread of
+  /// this keeper, in real time from anywhere else), then frees it.
+  void join(ThreadRec* rec);
 
-  /// Returns this thread's record; requires prior registration with *this*.
+  /// Returns the caller's record; requires it to be a sim thread of *this*.
   ThreadRec& current_rec();
 
   /// Core wait: blocks rec until notified or simulated `deadline` passes,
@@ -190,46 +174,77 @@ class TimeKeeper {
   void notify_locked(ThreadRec& rec);
 
   /// The baton is free: give it to the head of the run queue; if the queue
-  /// is empty (every registered thread blocked), advance the clock first.
-  /// Requires mutex_ held.
+  /// is empty (every sim thread blocked), advance the clock first. Requires
+  /// mutex_ held.
   void pass_baton_locked();
 
-  /// Every registered thread is blocked: advance the clock to the earliest
+  /// pass_baton_locked() for callers outside the engine thread (spawners,
+  /// notifiers, AdvanceHold releases): if the baton is free, grant it and
+  /// wake the parked engine to run the new holder. Requires mutex_ held.
+  void resume_locked();
+
+  /// Every sim thread is blocked: advance the clock to the earliest
   /// deadline and queue the threads due then, in registration order. If
   /// nothing is due (or an AdvanceHold is alive), arm the deadlock watchdog
   /// instead. Requires mutex_ held.
   void advance_locked();
 
+  /// Leave the running context `from` for `to` (the engine when null):
+  /// swaps the fiber-local state and the ucontext. Runs on the engine thread
+  /// with mutex_ released; returns when something switches back to `from`.
+  /// `from_exits`: `from` is a finished fiber and never resumes.
+  void switch_to(Fiber& from, ThreadRec* to, bool from_exits = false);
+  /// First code a context runs after a switch lands in it: finishes the
+  /// sanitizer switch and reaps a fiber that exited on the way here.
+  void switched_in(Fiber& self);
+  [[noreturn]] static void fiber_main() noexcept;
+
   [[nodiscard]] std::string state_dump_locked() const;
 
+  void engine_loop();
   void watchdog_loop();
   void hold_advance();
   void release_advance();
 
   // Lockdep-tracked: the keeper's mutex is the terminal node of the lock
   // hierarchy — every notify/now() reaches it, so nothing may be acquired
-  // while holding it.
+  // while holding it. Fibers drop it before every switch and retake it
+  // after, so each fiber's lockdep held stack stays its own.
   mutable dbg::Mutex mutex_{"sim.timekeeper"};
   Time now_ = 0;
-  int cpu_ = -1;                     // CPU registered threads run on; -1: none
   std::vector<ThreadRec*> threads_;  // registration order
   ThreadRec* holder_ = nullptr;      // baton holder; null when the baton is free
   std::deque<ThreadRec*> ready_;     // runnable, waiting for the baton
   std::uint64_t handoffs_ = 0;       // baton grants
+  std::uint64_t advances_ = 0;       // clock advances
+  std::size_t peak_threads_ = 0;
   std::function<void(const std::string&)> deadlock_handler_;
 
+  // Engine. `engine_cv_` wakes it when an outside thread grants the baton
+  // while it is parked; `finished_cv_` wakes outside joiners. `engine_` and
+  // `zombie_` are touched only on the engine thread: the engine's own
+  // context, and a fiber that exited and still needs reaping by whichever
+  // context runs next (a fiber cannot free the stack it is running on).
+  bool engine_stop_ = false;
+  std::condition_variable engine_cv_;    // real; paired with mutex_
+  std::condition_variable finished_cv_;  // real; paired with mutex_
+  Fiber* engine_ = nullptr;
+  ThreadRec* zombie_ = nullptr;
+
   // Watchdog. Deadlock: `epoch_` bumps on every state change
-  // (register/unregister/notify/advance). When the system parks with a
-  // non-daemon blocked forever, the watchdog samples the epoch; if it is
-  // unchanged after the grace period, the deadlock path fires. Stall: the
-  // watchdog samples handoffs_ every grace period and reports a baton
-  // holder that kept it across a whole period.
+  // (spawn/exit/notify/advance). When the system parks with a non-daemon
+  // blocked forever, the watchdog samples the epoch; if it is unchanged
+  // after the grace period, the deadlock path fires. Stall: the watchdog
+  // samples handoffs_ every grace period and reports a baton holder that
+  // kept it across a whole period.
   std::uint64_t epoch_ = 0;
   int holds_ = 0;
   bool parked_suspect_ = false;
   std::chrono::milliseconds grace_{2000};
   bool watchdog_stop_ = false;
   std::condition_variable watchdog_cv_;  // real; paired with mutex_
+  // Declared last: both threads use every member above.
+  std::thread engine_thread_;
   std::thread watchdog_;
 };
 

@@ -24,6 +24,7 @@ struct RunOutput {
   std::uint64_t proxied_writes = 0;
   std::string perf_dump;
   std::string traces;
+  TimeKeeper::SelfStats keeper;
 };
 
 /// Four closed-loop clients overwrite their own 16 KB objects on the DoCeph
@@ -78,6 +79,7 @@ RunOutput small_write_run(std::uint64_t seed) {
   });
   for (const auto& l : lat) out.latencies.insert(out.latencies.end(), l.begin(), l.end());
   out.traces = env.tracer().dump_chrome_json();
+  out.keeper = env.keeper().self_stats();
   return out;
 }
 
@@ -89,6 +91,14 @@ TEST(Determinism, SameSeedDoCephSmallWritesAreByteIdentical) {
   EXPECT_EQ(a.breakdown, b.breakdown);
   EXPECT_EQ(a.perf_dump, b.perf_dump);
   EXPECT_EQ(a.traces, b.traces);
+  // The keeper's own counters repeat too, and `perf dump` carries them.
+  EXPECT_GT(a.keeper.handoffs, 0u);
+  EXPECT_GT(a.keeper.advances, 0u);
+  EXPECT_GT(a.keeper.peak_threads, 0);
+  EXPECT_EQ(a.keeper.handoffs, b.keeper.handoffs);
+  EXPECT_EQ(a.keeper.advances, b.keeper.advances);
+  EXPECT_EQ(a.keeper.peak_threads, b.keeper.peak_threads);
+  EXPECT_NE(a.perf_dump.find("\"keeper\":{\"handoffs\":"), std::string::npos);
   // Not vacuous: every op went through the proxy and was traced.
   EXPECT_GE(a.proxied_writes, a.latencies.size());
   EXPECT_NE(a.traces.find("dpu.write"), std::string::npos);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "dbg/lockdep.h"
 #include "dbg/mutex.h"
 #include "sim/cpu_model.h"
+#include "sim/thread.h"
 #include "sim/time_keeper.h"
 
 namespace doceph::dbg {
@@ -31,6 +33,13 @@ class Recorder {
 struct AbortAcquire : std::runtime_error {
   AbortAcquire() : std::runtime_error("lockdep violation") {}
 };
+
+/// Runs `body` on a sim thread of `tk` and joins it: keeper blocks (and so
+/// check (c)) happen only on sim threads.
+void run_on_sim_thread(sim::TimeKeeper& tk, const std::function<void()>& body) {
+  sim::StatsRegistry stats;
+  sim::Thread(tk, stats, "lockdep-test", nullptr, body).join();
+}
 
 class LockdepTest : public ::testing::Test {
  protected:
@@ -174,20 +183,20 @@ TEST_F(LockdepTest, SameClassNestingDetectedUnlessRankOrdered) {
 TEST_F(LockdepTest, CondWaitWhileHoldingUnrelatedLock) {
   Recorder rec;
   sim::TimeKeeper tk(sim::TimeKeeper::Mode::virtual_time);
-  const sim::TimeKeeper::ThreadGuard guard(tk);
-
   Mutex other("t.cw.other");
   Mutex m("t.cw.waitm");
   CondVar cv(tk, "t.cw.cv");
 
-  other.lock();
-  {
-    UniqueLock lk(m);
-    // Nobody will notify: the single registered thread is parked, the clock
-    // jumps to the deadline, and the wait times out in zero wall time.
-    EXPECT_FALSE(cv.wait_for(lk, 1000));
-  }
-  other.unlock();
+  run_on_sim_thread(tk, [&] {
+    other.lock();
+    {
+      UniqueLock lk(m);
+      // Nobody will notify: the single sim thread is parked, the clock
+      // jumps to the deadline, and the wait times out in zero wall time.
+      EXPECT_FALSE(cv.wait_for(lk, 1000));
+    }
+    other.unlock();
+  });
 
   ASSERT_EQ(rec.seen.size(), 1u);
   EXPECT_EQ(rec.seen[0].kind, ld::Violation::Kind::cond_wait_holding);
@@ -198,15 +207,16 @@ TEST_F(LockdepTest, CondWaitWhileHoldingUnrelatedLock) {
 TEST_F(LockdepTest, SleepWhileHoldingLockReported) {
   Recorder rec;
   sim::TimeKeeper tk(sim::TimeKeeper::Mode::virtual_time);
-  const sim::TimeKeeper::ThreadGuard guard(tk);
-
   Mutex held("t.sleep.held");
-  {
-    const LockGuard l(held);
-    // A sleep has no lock of its own: every tracked lock is extra.
-    tk.sleep_for(1000);
-  }
-  tk.sleep_for(1000);  // nothing held: silent
+
+  run_on_sim_thread(tk, [&] {
+    {
+      const LockGuard l(held);
+      // A sleep has no lock of its own: every tracked lock is extra.
+      tk.sleep_for(1000);
+    }
+    tk.sleep_for(1000);  // nothing held: silent
+  });
 
   ASSERT_EQ(rec.seen.size(), 1u);
   EXPECT_EQ(rec.seen[0].kind, ld::Violation::Kind::cond_wait_holding);
@@ -217,15 +227,16 @@ TEST_F(LockdepTest, SleepWhileHoldingLockReported) {
 TEST_F(LockdepTest, ChargeWhileHoldingLockReported) {
   Recorder rec;
   sim::TimeKeeper tk(sim::TimeKeeper::Mode::virtual_time);
-  const sim::TimeKeeper::ThreadGuard guard(tk);
   sim::CpuDomain cpu(tk, "t.charge.cpu", /*cores=*/1, /*speed=*/1.0);
-
   Mutex held("t.charge.held");
-  {
-    const LockGuard l(held);
-    cpu.charge(1000);  // occupies a modeled core: a keeper sleep
-  }
-  EXPECT_EQ(tk.now(), 1000);
+
+  run_on_sim_thread(tk, [&] {
+    {
+      const LockGuard l(held);
+      cpu.charge(1000);  // occupies a modeled core: a keeper sleep
+    }
+    EXPECT_EQ(tk.now(), 1000);
+  });
 
   ASSERT_EQ(rec.seen.size(), 1u);
   EXPECT_EQ(rec.seen[0].kind, ld::Violation::Kind::cond_wait_holding);
@@ -235,12 +246,13 @@ TEST_F(LockdepTest, ChargeWhileHoldingLockReported) {
 TEST_F(LockdepTest, CondWaitHoldingOnlyItsMutexIsFine) {
   Recorder rec;
   sim::TimeKeeper tk(sim::TimeKeeper::Mode::virtual_time);
-  const sim::TimeKeeper::ThreadGuard guard(tk);
-
   Mutex m("t.cwok.m");
   CondVar cv(tk, "t.cwok.cv");
-  UniqueLock lk(m);
-  EXPECT_FALSE(cv.wait_for(lk, 1000));
+
+  run_on_sim_thread(tk, [&] {
+    UniqueLock lk(m);
+    EXPECT_FALSE(cv.wait_for(lk, 1000));
+  });
   EXPECT_TRUE(rec.seen.empty());
 }
 

@@ -40,6 +40,33 @@ TEST(EventCenter, DispatchRunsInLoopThread) {
   EXPECT_FALSE(f.center.in_loop_thread());
 }
 
+TEST(EventCenter, InLoopThreadIsPerSimThread) {
+  // Every sim thread runs on one OS thread: the loop must be identified by
+  // sim thread, not by std::this_thread.
+  LoopFixture f;
+  bool handler_in_loop = false;
+  bool other_in_loop = true;
+  f.env.run_on_sim_thread([&] {
+    dbg::Mutex m("t.inloop.m");
+    dbg::CondVar cv(f.env.keeper(), "t.inloop.cv");
+    bool ran = false;
+    f.center.dispatch([&] {
+      const dbg::LockGuard lk(m);
+      handler_in_loop = f.center.in_loop_thread();
+      ran = true;
+      cv.notify_one();
+    });
+    dbg::UniqueLock lk(m);
+    cv.wait(lk, [&] {
+      m.assert_held();
+      return ran;
+    });
+    other_in_loop = f.center.in_loop_thread();  // the loop is parked in run()
+  });
+  EXPECT_TRUE(handler_in_loop);
+  EXPECT_FALSE(other_in_loop);
+}
+
 TEST(EventCenter, DispatchPreservesOrder) {
   LoopFixture f;
   std::vector<int> order;

@@ -9,7 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_name.h"
+#include "dbg/cond_var.h"
+#include "dbg/lockdep.h"
+#include "dbg/mutex.h"
+#include "sim/cpu_model.h"
 #include "sim/env.h"
+#include "sim/exec_context.h"
 #include "sim/thread.h"
 
 namespace doceph::sim {
@@ -22,13 +28,15 @@ TEST(TimeKeeper, StartsAtZero) {
 
 TEST(TimeKeeper, SingleThreadSleepAdvancesInstantly) {
   TimeKeeper tk;
-  const TimeKeeper::ThreadGuard guard(tk);
-  tk.sleep_for(5_s);
-  EXPECT_EQ(tk.now(), 5_s);
-  tk.sleep_until(7_s);
-  EXPECT_EQ(tk.now(), 7_s);
-  tk.sleep_until(3_s);  // past deadline: no-op
-  EXPECT_EQ(tk.now(), 7_s);
+  StatsRegistry stats;
+  Thread t(tk, stats, "sleeper", nullptr, [&] {
+    tk.sleep_for(5_s);
+    EXPECT_EQ(tk.now(), 5_s);
+    tk.sleep_until(7_s);
+    EXPECT_EQ(tk.now(), 7_s);
+    tk.sleep_until(3_s);  // past deadline: no-op
+    EXPECT_EQ(tk.now(), 7_s);
+  });
 }
 
 TEST(TimeKeeper, TwoThreadsInterleaveByDeadline) {
@@ -294,6 +302,58 @@ TEST(TimeKeeper, StalledBatonHolderReported) {
   stuck.join();
   ASSERT_EQ(status, std::future_status::ready);
   EXPECT_NE(report_future.get().find("stuck: RUNNING (baton holder)"), std::string::npos);
+}
+
+TEST(TimeKeeper, FiberLocalStateIsPerSimThread) {
+  // Sim threads share one OS thread, so what they read as thread-local must
+  // be swapped on every switch: each sees its own name, ExecContext and
+  // lockdep held stack, even while another is parked mid-wait.
+  struct View {
+    std::string name;
+    CpuDomain* domain = nullptr;
+    bool holds_a_mutex = false;
+  };
+  Env env;
+  CpuDomain b_cpu(env.keeper(), "t.fiberlocal.cpu", /*cores=*/1, /*speed=*/1.0);
+  dbg::Mutex a_mutex("t.fiberlocal.a");
+  dbg::CondVar a_cv(env.keeper(), "t.fiberlocal.cv");
+  bool a_go = false;
+  View a_view;
+  View b_view;
+  const auto look = [&] {
+    return View{current_thread_name(), ExecContext::current().domain,
+                dbg::lockdep::is_held(&a_mutex)};
+  };
+
+  auto hold = env.hold();
+  Thread a = env.spawn("fiber-a", nullptr, [&] {
+    dbg::UniqueLock lk(a_mutex);
+    a_cv.wait(lk, [&] {
+      a_mutex.assert_held();
+      return a_go;
+    });
+    a_view = look();  // b is parked mid-body now
+  });
+  Thread b = env.spawn("fiber-b", &b_cpu, [&] {
+    env.keeper().sleep_for(1_ms);  // a is parked in its wait, holding a_mutex
+    b_view = look();
+    {
+      const dbg::LockGuard lk(a_mutex);
+      a_go = true;
+    }
+    a_cv.notify_one();
+    env.keeper().sleep_for(1_ms);  // park while a runs
+  });
+  hold.release();
+  a.join();
+  b.join();
+
+  EXPECT_EQ(b_view.name, "fiber-b");
+  EXPECT_EQ(b_view.domain, &b_cpu);
+  EXPECT_FALSE(b_view.holds_a_mutex);
+  EXPECT_EQ(a_view.name, "fiber-a");
+  EXPECT_EQ(a_view.domain, nullptr);
+  EXPECT_TRUE(a_view.holds_a_mutex);
 }
 
 TEST(TimeKeeper, ManyThreadsConvergeOnSameTimeline) {
