@@ -1,10 +1,10 @@
 // Ablation of the batched offload hot path: sweep the scatter-gather DMA
 // coalescing depth (segments per flush) and the doorbell flush deadline, at
 // a 16 KB small-write workload where per-op fixed costs (comch doorbells,
-// DMA job setup, per-send syscalls) dominate. The no-batching row is the
-// pre-batching hot path for reference. The depth stops at 16: 16 writers
-// never queue more than 16 segments per flush, so deeper caps repeat the
-// 16 rows exactly.
+// DMA job setup, per-send syscalls) dominate. The "off" row is the paper
+// profile's unbatched hot path for reference; the batched rows run the
+// production profile. The depth stops at 16: 16 writers never queue more
+// than 16 segments per flush, so deeper caps repeat the 16 rows exactly.
 #include "benchcore/experiment.h"
 #include "benchcore/table.h"
 #include "cluster/profiles.h"
@@ -18,14 +18,13 @@ int main() {
   Table t({"batch", "max segs", "deadline (us)", "IOPS", "p99 (s)", "DMA-wait (s)",
            "host CPU"});
 
-  // Reference: everything disabled (also strips corking + RPC batching).
+  // Reference: the paper profile (no corking, RPC or DMA batching).
   {
     RunSpec spec;
     spec.mode = cluster::DeployMode::doceph;
     spec.object_size = 16 << 10;
     spec.concurrency = 16;
     spec.reuse_objects = 32;  // bounded inline-write set (see RunSpec)
-    spec.batching = false;
     const auto r = run_experiment(spec);
     t.row({"off", "-", "-", Table::num(r.iops, 1), Table::num(r.p99_lat_s, 4),
            Table::num(r.bd_dma_wait_s, 4), Table::pct(r.host_cores)});
@@ -38,8 +37,8 @@ int main() {
       spec.object_size = 16 << 10;
       spec.concurrency = 16;
       spec.reuse_objects = 32;
-      spec.batching = true;
-      auto p = cluster::default_proxy();
+      spec.profile = cluster::Profile::production;
+      auto p = cluster::ClusterConfig::testbed(spec.profile, spec.mode).proxy;
       p.dma_batch.max_segments = max_segments;
       p.dma_batch.flush_delay = deadline;
       p.rpc_batch.flush_delay = deadline / 2;

@@ -24,15 +24,14 @@ using namespace doceph::benchcore;
 
 namespace {
 
-/// One swept cell: the 16 KB qd64 fresh-object lap under the PR 8
-/// backpressure envelope (the acceptance workload for the sharding PR).
+/// One swept cell: the 16 KB qd64 fresh-object lap on the production
+/// profile (coalescing plus the backpressure envelope).
 RunSpec small_write_spec(int op_shards, int kv_shards) {
   RunSpec spec;
   spec.mode = cluster::DeployMode::doceph;
   spec.object_size = 16 << 10;
   spec.concurrency = 64;
-  spec.batching = true;
-  spec.backpressure = true;
+  spec.profile = cluster::Profile::production;
   spec.warmup = 200'000'000;   // 200 ms
   spec.measure = 250'000'000;  // 250 ms: sized so the fastest sharded cell's
                                // fresh-object KV growth stays under nearfull

@@ -18,10 +18,7 @@
 // measured window and the peak number of sim threads. It is not gated.
 //
 //   perf_smoke --out BENCH_pr.json [--baseline BENCH_baseline.json]
-//              [--threshold 0.20] [--p99-threshold 0.30]
-//              [--cores-threshold 0.25] [--shard-gate 1.8]
-//              [--measure-ms 1500] [--repeats N]
-//              [--trace-out TRACE.json] [--trace-sample N]
+//              [--repeats N] [--trace-out TRACE.json] [--trace-sample N]
 //
 // Two laps per deploy mode: the 1 MB DMA-path lap ("baseline"/"doceph")
 // and a 16 KB qd64 fresh-object small-write lap ("baseline_smallwrite"/
@@ -29,16 +26,16 @@
 // doorbell coalescing + scatter-gather DMA + write corking) plus the
 // chained-KV-checkpoint + backpressure degradation path (every write is a
 // new object; the map snapshot outgrows one WAL segment mid-run).
-// --measure-ms scales only the 1 MB laps; the small lap has dedicated
+// kMeasureMs sizes only the 1 MB laps; the small lap has dedicated
 // durations sized against the store's nearfull ratio. The small-write lap
 // is then re-run with op_shards = kv_shards = 4 ("*_smallwrite_sharded")
-// and gated intra-run: DoCeph sharded ops/s must be >= --shard-gate times
-// the unsharded lap (0 disables), with zero failed ops.
-// Every lap runs with batching on. The committed BENCH_baseline.json comes
+// and gated intra-run: DoCeph sharded ops/s must be >= kShardGate times
+// the unsharded lap, with zero failed ops.
+// Every lap runs the production cluster profile (every coalescing layer
+// plus the backpressure envelope). The committed BENCH_baseline.json comes
 // from the CI invocation minus --baseline, so the gate compares like with
-// like; ablation_batching keeps the unbatched reference row.
+// like; ablation_batching keeps the paper profile's unbatched row.
 //
-// A threshold of 0 disables that gate (iops/p99/cores each independently).
 // --trace-out makes the DoCeph lap sample 1-in-N client ops (default 64)
 // through the distributed tracer and writes the merged Chrome trace_event
 // JSON there (open with chrome://tracing or Perfetto).
@@ -58,6 +55,16 @@ namespace {
 
 using doceph::benchcore::RunResult;
 using doceph::benchcore::RunSpec;
+
+// Gates against the committed baseline, as fractions of its value: DoCeph
+// ops/s may drop by kIopsDropGate, p99 and host cores grow by the others.
+constexpr double kIopsDropGate = 0.20;
+constexpr double kP99GrowthGate = 0.30;
+constexpr double kCoresGrowthGate = 0.25;
+// Intra-run gate: sharded / unsharded DoCeph small-write ops/s.
+constexpr double kShardGate = 1.8;
+// Measured window of the 1 MB laps.
+constexpr long kMeasureMs = 1500;
 
 void emit_result(doceph::JsonWriter& w, const char* name, const RunResult& r) {
   w.key(name);
@@ -113,11 +120,6 @@ bool extract_number(const std::string& json, const std::string& object,
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_pr.json";
   std::string baseline_path;
-  double threshold = 0.20;
-  double p99_threshold = 0.30;
-  double cores_threshold = 0.25;
-  double shard_gate = 1.8;
-  long measure_ms = 1500;
   long repeats = 1;
   std::string trace_out;
   long trace_sample = 64;
@@ -126,11 +128,6 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
     if (arg == "--out") out_path = next();
     else if (arg == "--baseline") baseline_path = next();
-    else if (arg == "--threshold") threshold = std::strtod(next(), nullptr);
-    else if (arg == "--p99-threshold") p99_threshold = std::strtod(next(), nullptr);
-    else if (arg == "--cores-threshold") cores_threshold = std::strtod(next(), nullptr);
-    else if (arg == "--shard-gate") shard_gate = std::strtod(next(), nullptr);
-    else if (arg == "--measure-ms") measure_ms = std::strtol(next(), nullptr, 10);
     else if (arg == "--repeats") repeats = std::max(1l, std::strtol(next(), nullptr, 10));
     else if (arg == "--trace-out") trace_out = next();
     else if (arg == "--trace-sample")
@@ -145,36 +142,37 @@ int main(int argc, char** argv) {
   spec.object_size = 1 << 20;  // 1 MB: exercises the DMA path, stays quick
   spec.concurrency = 8;
   spec.warmup = 500'000'000;
-  spec.measure = measure_ms * 1'000'000;
+  spec.measure = kMeasureMs * 1'000'000;
   spec.pg_num = 32;
-  spec.batching = true;
+  spec.profile = doceph::cluster::Profile::production;
 
   doceph::JsonWriter w;
   w.begin_object();
-  RunResult doceph_result;
-  RunResult doceph_small;
-  RunResult doceph_small_sharded;
-  std::vector<std::pair<const char*, RunResult>> laps;  // for the keeper block
-  const auto emit_lap = [&](const char* name, const RunResult& r) {
-    emit_result(w, name, r);
-    laps.emplace_back(name, r);
+  std::vector<std::pair<std::string, RunResult>> laps;  // for the keeper block
+  // Runs `s` in both deploy modes (baseline first), emits each lap as
+  // "<mode><suffix>" and returns the DoCeph lap. `traced` samples the
+  // DoCeph lap only: that is the path (client -> msgr -> DPU comch/DMA ->
+  // host BlueStore) the artifact is meant to show.
+  const auto run_laps = [&](RunSpec s, const std::string& suffix, bool traced) {
+    RunResult doceph_lap;
+    for (const auto mode :
+         {doceph::cluster::DeployMode::baseline, doceph::cluster::DeployMode::doceph}) {
+      s.mode = mode;
+      const bool is_doceph = mode == doceph::cluster::DeployMode::doceph;
+      const bool trace = traced && is_doceph && !trace_out.empty();
+      s.trace_out = trace ? trace_out : "";
+      s.trace_sample_every = trace ? static_cast<std::uint32_t>(trace_sample) : 0;
+      const RunResult r = doceph::benchcore::run_experiment(s);
+      if (is_doceph) doceph_lap = r;
+      const std::string name = (is_doceph ? "doceph" : "baseline") + suffix;
+      emit_result(w, name.c_str(), r);
+      laps.emplace_back(name, r);
+      std::fprintf(stderr, "[perf-smoke] %s: %.0f ops/s, p50 %.2f ms, p99 %.2f ms\n",
+                   name.c_str(), r.iops, r.p50_lat_s * 1e3, r.p99_lat_s * 1e3);
+    }
+    return doceph_lap;
   };
-  for (const auto mode :
-       {doceph::cluster::DeployMode::baseline, doceph::cluster::DeployMode::doceph}) {
-    spec.mode = mode;
-    const bool is_doceph = mode == doceph::cluster::DeployMode::doceph;
-    // Trace only the DoCeph lap: that is the path (client -> msgr -> DPU
-    // comch/DMA -> host BlueStore) the artifact is meant to show.
-    spec.trace_out = is_doceph ? trace_out : "";
-    spec.trace_sample_every =
-        is_doceph && !trace_out.empty() ? static_cast<std::uint32_t>(trace_sample) : 0;
-    const RunResult r = doceph::benchcore::run_experiment(spec);
-    if (is_doceph) doceph_result = r;
-    emit_lap(is_doceph ? "doceph" : "baseline", r);
-    std::fprintf(stderr, "[perf-smoke] %s: %.0f ops/s, p50 %.2f ms, p99 %.2f ms\n",
-                 is_doceph ? "doceph" : "baseline", r.iops, r.p50_lat_s * 1e3,
-                 r.p99_lat_s * 1e3);
-  }
+  const RunResult doceph_result = run_laps(spec, "", /*traced=*/true);
 
   // Small-write lap (16 KB, qd64, fresh object names): many sub-slot
   // segments per interval — the workload the batched offload hot path is
@@ -182,76 +180,46 @@ int main(int argc, char** argv) {
   // payloads accumulate in the KV map: the baseline lap's snapshot grows
   // past one 32 MiB WAL segment mid-run, exercising the chained
   // checkpoint path (pre-chaining this lap died with no_space).
-  // Backpressure is on so the run degrades gracefully instead of
-  // collapsing if a queue or the store ever saturates; durations are
-  // sized to stay under the 0.85 nearfull ratio (~3300 objects), above
+  // The production profile's backpressure lets the run degrade gracefully
+  // instead of collapsing if a queue or the store ever saturates; durations
+  // are sized to stay under the 0.85 nearfull ratio (~3300 objects), above
   // which writes shed permanently.
-  {
-    RunSpec small = spec;
-    small.object_size = 16 << 10;
-    small.concurrency = 64;
-    small.reuse_objects = 0;
-    small.backpressure = true;
-    small.warmup = 200'000'000;    // 200 ms
-    small.measure = 400'000'000;   // 400 ms: ~2700 fresh objects ≈ 43 MiB of
-                                   // inline payloads — past one segment,
-                                   // safely under 0.85 * 64 MiB nearfull
-    small.trace_out.clear();
-    small.trace_sample_every = 0;
-    for (const auto mode : {doceph::cluster::DeployMode::baseline,
-                            doceph::cluster::DeployMode::doceph}) {
-      small.mode = mode;
-      const bool is_doceph = mode == doceph::cluster::DeployMode::doceph;
-      const RunResult r = doceph::benchcore::run_experiment(small);
-      if (is_doceph) doceph_small = r;
-      emit_lap(is_doceph ? "doceph_smallwrite" : "baseline_smallwrite", r);
-      std::fprintf(stderr,
-                   "[perf-smoke] %s_smallwrite: %.0f ops/s, p50 %.2f ms, "
-                   "p99 %.2f ms\n",
-                   is_doceph ? "doceph" : "baseline", r.iops, r.p50_lat_s * 1e3,
-                   r.p99_lat_s * 1e3);
-    }
+  RunSpec small = spec;
+  small.object_size = 16 << 10;
+  small.concurrency = 64;
+  small.reuse_objects = 0;
+  small.warmup = 200'000'000;    // 200 ms
+  small.measure = 400'000'000;   // 400 ms: ~2700 fresh objects ≈ 43 MiB of
+                                 // inline payloads — past one segment,
+                                 // safely under 0.85 * 64 MiB nearfull
+  const RunResult doceph_small = run_laps(small, "_smallwrite", /*traced=*/false);
 
-    // Sharded re-run of the same lap (op_shards = kv_shards = 4, DESIGN.md
-    // §15): four OSD op lanes, one proxy staging slot per lane, and four
-    // independent KV group-commit streams (each with its own full-size WAL
-    // ring). Gated intra-run against the unsharded lap below, so a change
-    // that quietly re-serializes the write path fails this binary even with
-    // no committed baseline on hand. The measure window shrinks so the
-    // baseline lap's ~4x higher op rate (~125 MiB of fresh inline payloads
-    // over the run) still averages well under each shard's 0.85 * 64 MiB
-    // nearfull ceiling with margin for hash imbalance.
-    small.op_shards = 4;
-    small.kv_shards = 4;
-    small.measure = 250'000'000;  // 250 ms
-    for (const auto mode : {doceph::cluster::DeployMode::baseline,
-                            doceph::cluster::DeployMode::doceph}) {
-      small.mode = mode;
-      const bool is_doceph = mode == doceph::cluster::DeployMode::doceph;
-      const RunResult r = doceph::benchcore::run_experiment(small);
-      if (is_doceph) doceph_small_sharded = r;
-      emit_lap(is_doceph ? "doceph_smallwrite_sharded" : "baseline_smallwrite_sharded",
-               r);
-      std::fprintf(stderr,
-                   "[perf-smoke] %s_smallwrite_sharded: %.0f ops/s, p50 %.2f "
-                   "ms, p99 %.2f ms\n",
-                   is_doceph ? "doceph" : "baseline", r.iops, r.p50_lat_s * 1e3,
-                   r.p99_lat_s * 1e3);
-    }
-  }
+  // Sharded re-run of the same lap (op_shards = kv_shards = 4, DESIGN.md
+  // §15): four OSD op lanes, one proxy staging slot per lane, and four
+  // independent KV group-commit streams (each with its own full-size WAL
+  // ring). Gated intra-run against the unsharded lap below, so a change
+  // that quietly re-serializes the write path fails this binary even with
+  // no committed baseline on hand. The measure window shrinks so the
+  // baseline lap's ~4x higher op rate (~125 MiB of fresh inline payloads
+  // over the run) still averages well under each shard's 0.85 * 64 MiB
+  // nearfull ceiling with margin for hash imbalance.
+  small.op_shards = 4;
+  small.kv_shards = 4;
+  small.measure = 250'000'000;  // 250 ms
+  const RunResult doceph_small_sharded =
+      run_laps(small, "_smallwrite_sharded", /*traced=*/false);
 
   w.key("keeper");
   w.begin_object();
-  for (const auto& [name, r] : laps) emit_keeper(w, name, r);
+  for (const auto& [name, r] : laps) emit_keeper(w, name.c_str(), r);
   w.end_object();
 
   bool failed = false;
 
   if (repeats > 1) {
-    // Re-run the DoCeph lap under the same seed: every field must repeat.
+    // Re-run the DoCeph lap under the same seed, untraced: every field must
+    // repeat.
     spec.mode = doceph::cluster::DeployMode::doceph;
-    spec.trace_out.clear();  // one trace artifact; repeats run untraced
-    spec.trace_sample_every = 0;
     bool identical = true;
     for (long rep = 1; rep < repeats; ++rep) {
       const RunResult r = doceph::benchcore::run_experiment(spec);
@@ -291,14 +259,14 @@ int main(int argc, char** argv) {
   // >= 1.8x over the full 400 ms lap; the shorter sharded window is gated
   // at the same bar) and must finish with zero failed ops — backpressure
   // may defer writes, never drop them.
-  if (shard_gate > 0 && doceph_small.iops > 0) {
+  if (doceph_small.iops > 0) {
     const double speedup = doceph_small_sharded.iops / doceph_small.iops;
     std::fprintf(stderr,
                  "[perf-smoke] doceph_smallwrite sharded/unsharded: %.0f / "
                  "%.0f ops/s = %.2fx (gate: >= %.2fx)\n",
                  doceph_small_sharded.iops, doceph_small.iops, speedup,
-                 shard_gate);
-    if (speedup < shard_gate) {
+                 kShardGate);
+    if (speedup < kShardGate) {
       std::fprintf(stderr,
                    "[perf-smoke] FAIL: sharded small-write speedup below gate\n");
       failed = true;
@@ -323,7 +291,7 @@ int main(int argc, char** argv) {
   ss << in.rdbuf();
   const std::string baseline_json = ss.str();
 
-  // Gate 1: DoCeph throughput may not DROP past `threshold` — on the 1 MB
+  // Gate 1: DoCeph throughput may not DROP past kIopsDropGate — on the 1 MB
   // lap and on the 16 KB small-write lap (the batching hot path).
   const struct {
     const char* object;
@@ -334,20 +302,20 @@ int main(int argc, char** argv) {
   };
   for (const auto& g : iops_gates) {
     double base_iops = 0;
-    if (threshold > 0 &&
-        extract_number(baseline_json, g.object, "ops_per_sec", base_iops) &&
+    if (extract_number(baseline_json, g.object, "ops_per_sec", base_iops) &&
         base_iops > 0) {
       const double drop = (base_iops - g.current) / base_iops;
       std::fprintf(stderr,
                    "[perf-smoke] %s ops/s: baseline %.0f, this run %.0f "
                    "(%+.1f%%; gate: -%.0f%%)\n",
-                   g.object, base_iops, g.current, -drop * 100, threshold * 100);
-      if (drop > threshold) {
+                   g.object, base_iops, g.current, -drop * 100,
+                   kIopsDropGate * 100);
+      if (drop > kIopsDropGate) {
         std::fprintf(stderr, "[perf-smoke] FAIL: %s throughput regression beyond gate\n",
                      g.object);
         failed = true;
       }
-    } else if (threshold > 0) {
+    } else {
       std::fprintf(stderr, "baseline %s has no %s ops_per_sec; skipping iops gate\n",
                    baseline_path.c_str(), g.object);
     }
@@ -362,11 +330,10 @@ int main(int argc, char** argv) {
     double current;
     double limit;
   } growth_gates[] = {
-      {"p99_lat_s", "p99 latency", doceph_result.p99_lat_s, p99_threshold},
-      {"host_cores", "host-CPU cores", doceph_result.host_cores, cores_threshold},
+      {"p99_lat_s", "p99 latency", doceph_result.p99_lat_s, kP99GrowthGate},
+      {"host_cores", "host-CPU cores", doceph_result.host_cores, kCoresGrowthGate},
   };
   for (const auto& g : growth_gates) {
-    if (g.limit <= 0) continue;
     double base = 0;
     if (!extract_number(baseline_json, "doceph", g.key, base) || base <= 0) {
       std::fprintf(stderr, "baseline %s has no doceph %s; skipping %s gate\n",

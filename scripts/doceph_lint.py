@@ -56,6 +56,17 @@ Rules (each finding prints as `path:line: [rule] message`):
                   (a host handler for a request that never arrives) — it
                   fails lint instead of lingering.
 
+  profile-knob    An assignment, in src/ or bench/, to one of the coalescing
+                  switches (`cork.enabled`, `rpc_batch.enabled`,
+                  `dma_batch.enabled`) or the seven backpressure-envelope
+                  fields (max_queue_depth, max_conn_inflight,
+                  throttle_retry_delay, nearfull_ratio, max_worker_queue,
+                  slot_acquire_timeout, flow_control) anywhere but
+                  src/cluster/profiles.h. The named cluster profiles
+                  (ClusterConfig::testbed) are the one place a deployment
+                  is spelled out; a bench or library copy of the envelope
+                  drifts from it. Unit tests and perfbench/ are exempt.
+
 Modes:
   doceph_lint.py                  lint the tree (src/ tests/ bench/ examples/,
                                   minus tests/lint/ fixtures); exit 1 on any
@@ -148,6 +159,16 @@ PROXY_OP_HEADER = "src/proxy/proxy_protocol.h"
 PROXY_OP_ENUM_RE = re.compile(r"\benum\s+class\s+ProxyOp\b")
 PROXY_OP_REF_RE = re.compile(r"\bProxyOp::([a-z_][a-z0-9_]*)")
 PROXY_OP_CASE_RE = re.compile(r"\bcase\s+ProxyOp::([a-z_][a-z0-9_]*)\s*:")
+
+# profile-knob: member assignments (also designated initializers) of the
+# profile-owned knobs; `==` comparisons do not match.
+PROFILE_KNOB_OWNER = "src/cluster/profiles.h"
+PROFILE_KNOB_CHECKED_DIRS = ("src/", "bench/")
+PROFILE_KNOB_RE = re.compile(
+    r"(?:\.|->)\s*((?:cork|rpc_batch|dma_batch)\s*\.\s*enabled|max_queue_depth|"
+    r"max_conn_inflight|throttle_retry_delay|nearfull_ratio|max_worker_queue|"
+    r"slot_acquire_timeout|flow_control)\s*=(?!=)"
+)
 
 
 class Finding:
@@ -249,6 +270,20 @@ def lint_file(path: Path, registry: set[str], trace_registry: set[str],
                     f'span name "{point}" is not declared in '
                     f"{TRACE_POINTS_HEADER}; declare it there (typo-proofing: "
                     "unregistered names orphan the span from its op tree)"))
+
+        # Rule: profile-knob
+        knob_checked = not enforce_allowlists or (
+            relpath.startswith(PROFILE_KNOB_CHECKED_DIRS)
+            and relpath != PROFILE_KNOB_OWNER)
+        m = PROFILE_KNOB_RE.search(code) if knob_checked else None
+        if m:
+            knob = re.sub(r"\s+", "", m.group(1))
+            findings.append(Finding(
+                path, lineno, "profile-knob",
+                f"`{knob}` is set outside {PROFILE_KNOB_OWNER}; pick a "
+                "cluster::Profile (ClusterConfig::testbed) instead of "
+                "spelling out the coalescing switches or the backpressure "
+                "envelope"))
 
     return findings
 

@@ -34,22 +34,18 @@ std::string RunSpec::label() const {
   }
   if (dma_failure_rate > 0) os << "_f" << static_cast<int>(dma_failure_rate * 1e4);
   if (reuse_objects > 0) os << "_r" << reuse_objects;
-  if (backpressure) os << "_bp";
   // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_shOPxKV` when
   // op- and kv-shard counts differ; nothing when unsharded.
   if (op_shards != kv_shards)
     os << "_sh" << op_shards << "x" << kv_shards;
   else if (op_shards > 1)
     os << "_sh" << op_shards;
-  if (batching) {
-    // Batched cells name the coalescing knobs too (swept by
+  if (profile == cluster::Profile::production) {
+    // Production cells name the coalescing knobs too (swept by
     // ablation_batching): depth and flush deadlines change the numbers.
-    const auto& db = proxy_override ? proxy_override->dma_batch
-                                    : cluster::default_proxy().dma_batch;
-    const auto& rb = proxy_override ? proxy_override->rpc_batch
-                                    : cluster::default_proxy().rpc_batch;
-    os << "_batch" << db.max_segments << "_" << db.flush_delay / 1'000 << "u"
-       << rb.flush_delay / 1'000;
+    const auto px = proxy_override.value_or(cluster::default_proxy());
+    os << "_prod_batch" << px.dma_batch.max_segments << "_"
+       << px.dma_batch.flush_delay / 1'000 << "u" << px.rpc_batch.flush_delay / 1'000;
   }
   return os.str();
 }
@@ -70,39 +66,13 @@ void apply_trace_flags(RunSpec& spec, int argc, char** argv) {
 RunResult run_experiment(const RunSpec& spec) {
   sim::Env env(sim::TimeKeeper::Mode::virtual_time, spec.seed);
   env.tracer().set_sample_every(spec.trace_sample_every);
-  auto cfg = cluster::ClusterConfig::paper_testbed(spec.mode, spec.net,
-                                                   /*retain_data=*/false);
+  auto cfg = cluster::ClusterConfig::testbed(spec.profile, spec.mode, spec.net,
+                                             /*retain_data=*/false);
   cfg.pg_num = spec.pg_num;
   // Write-path sharding (both clamped >= 1 downstream).
   cfg.osd_template.op_shards = spec.op_shards;
   cfg.kv_shards = spec.kv_shards;
   if (spec.proxy_override) cfg.proxy = *spec.proxy_override;
-  // Sharded deployments provision one staging slot per op lane (DESIGN.md
-  // §15): the paper's single pre-established slot is the unsharded hot
-  // path's calibration, and keeping it would re-serialize every lane at the
-  // offload boundary (the store stage pins at the DMA-wait on slot 0 and
-  // the lanes buy ~nothing). An explicit proxy_override still wins.
-  if (!spec.proxy_override && cfg.osd_template.op_shards > 1) {
-    cfg.proxy.slots = std::max(cfg.proxy.slots, cfg.osd_template.op_shards);
-  }
-  // spec.batching governs the enabled flags of every coalescing knob (the
-  // proxy_override only tunes depths/deadlines), so batched and unbatched
-  // cells differ in exactly one dimension.
-  cfg.msgr.cork.enabled = spec.batching;
-  cfg.proxy.rpc_batch.enabled = spec.batching;
-  cfg.proxy.dma_batch.enabled = spec.batching;
-  cfg.backend.rpc_batch.enabled = spec.batching;
-  if (spec.backpressure) {
-    // End-to-end admission control: bounded queues at every layer, typed
-    // throttled bounces, nearfull write shedding, client AIMD windowing.
-    cfg.osd_template.max_queue_depth = 256;
-    cfg.osd_template.max_conn_inflight = 128;
-    cfg.osd_template.throttle_retry_delay = 2'000'000;  // 2 ms
-    cfg.osd_template.nearfull_ratio = 0.85;
-    cfg.proxy.max_worker_queue = 512;
-    cfg.proxy.slot_acquire_timeout = 5'000'000'000;  // 5 s
-    cfg.client.flow_control = true;
-  }
 
   cluster::Cluster cl(env, cfg);
   RunResult result;

@@ -19,11 +19,9 @@ struct RunSpec {
   std::uint32_t pg_num = 64;
   std::uint64_t seed = 42;
 
-  /// Hot-path batching (comch doorbell coalescing, scatter-gather DMA,
-  /// messenger write corking). Off by default: the paper's hot path has no
-  /// coalescing, and the figure sweep reproduces the paper's calibration
-  /// (DESIGN.md §13.4). perf_smoke and ablation_batching opt in.
-  bool batching = false;
+  /// Named deployment (ClusterConfig::testbed): `paper` is the figure
+  /// sweep's calibration, `production` adds coalescing and backpressure.
+  cluster::Profile profile = cluster::Profile::paper;
 
   /// >0: writers cycle through a bounded object working set (see
   /// BenchConfig::reuse_objects). Documented opt-in for bounding metadata
@@ -31,20 +29,15 @@ struct RunSpec {
   /// chained KV checkpoints + backpressure instead of dying with no_space.
   std::uint64_t reuse_objects = 0;
 
-  /// End-to-end backpressure: bounded OSD/proxy queues replying
-  /// Errc::throttled, nearfull write shedding, and client AIMD flow
-  /// control. Off by default — the paper profiles predate admission
-  /// control.
-  bool backpressure = false;
-
   /// Write-path sharding (DESIGN.md §15): OsdConfig::op_shards and
   /// ClusterConfig::kv_shards. 1 (default) is the paper's unsharded
   /// pipeline. More than one op lane also provisions one proxy staging
-  /// slot per lane unless `proxy_override` is set.
+  /// slot per lane (ClusterConfig::proxy_config).
   int op_shards = 1;
   int kv_shards = 1;
 
-  /// Ablation overrides for the proxy (DoCeph mode only).
+  /// Ablation overrides for the proxy (DoCeph mode only). Replaces the
+  /// profile's proxy: start from `ClusterConfig::testbed(profile, ...).proxy`.
   std::optional<proxy::ProxyConfig> proxy_override;
   /// DMA error injection rate (fallback experiments).
   double dma_failure_rate = 0.0;
@@ -113,7 +106,7 @@ struct RunResult {
   std::uint64_t dma_fallback_events = 0;
   std::uint64_t rpc_fallback_bytes = 0;
 
-  // Backpressure telemetry (0 unless spec.backpressure): throttled bounces
+  // Backpressure telemetry (0 under the paper profile): throttled bounces
   // by layer over the measured window.
   std::uint64_t osd_throttled = 0;
   std::uint64_t client_throttled = 0;

@@ -18,7 +18,11 @@ std::string Table::num(double v, int precision) {
   os.setf(std::ios::fixed);
   os.precision(precision);
   os << v;
-  return os.str();
+  std::string s = os.str();
+  // A negative value that rounds to zero prints as zero, not "-0".
+  if (s.front() == '-' && s.find_first_not_of("0.", 1) == std::string::npos)
+    s.erase(0, 1);
+  return s;
 }
 
 std::string Table::pct(double fraction, int precision) {

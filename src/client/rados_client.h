@@ -46,7 +46,7 @@ struct ClientConfig {
   sim::Duration resend_timeout = 5'000'000'000;   // 5 s of reply silence
   sim::Duration op_deadline = 120'000'000'000;    // 120 s hard limit
 
-  // ---- AIMD flow control (OFF by default; paper sweeps unchanged) -------
+  // ---- AIMD flow control (off by default and in the paper profile) -----
   /// Cap concurrently-sent ops by a congestion window: halved on each
   /// Errc::throttled bounce, grown by 1/cwnd per successful op. Ops beyond
   /// the window wait client-side instead of hammering an overloaded OSD.

@@ -54,8 +54,8 @@ Status Cluster::start() {
       // only through the proxy channel.
       node->dpu = std::make_unique<dpu::DpuDevice>(
           env_, fabric_, "dpu-" + std::to_string(i), cfg_.dpu_profile());
-      node->pstore =
-          std::make_unique<proxy::ProxyObjectStore>(env_, *node->dpu, cfg_.proxy);
+      node->pstore = std::make_unique<proxy::ProxyObjectStore>(env_, *node->dpu,
+                                                               cfg_.proxy_config());
       node->backend = std::make_unique<proxy::HostBackendService>(
           env_, *node->host_cpu, *node->store, node->dpu->host_comch(),
           node->pstore->slots().host_mmap(), node->pstore->slots().slot_size(),
@@ -223,7 +223,7 @@ Status Cluster::restart_osd(int i) {
     // The old comm channel was closed by the teardown; renegotiate it first.
     node.dpu->reset_comch();
     node.pstore =
-        std::make_unique<proxy::ProxyObjectStore>(env_, *node.dpu, cfg_.proxy);
+        std::make_unique<proxy::ProxyObjectStore>(env_, *node.dpu, cfg_.proxy_config());
     node.backend = std::make_unique<proxy::HostBackendService>(
         env_, *node.host_cpu, *node.store, node.dpu->host_comch(),
         node.pstore->slots().host_mmap(), node.pstore->slots().slot_size(),

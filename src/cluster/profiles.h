@@ -31,6 +31,12 @@ enum class DeployMode {
 
 enum class NetworkKind { gbe_1, gbe_100 };
 
+/// The two named deployments (ClusterConfig::testbed).
+enum class Profile {
+  paper,       ///< the calibrated hot path of §5 / Table 3, as every figure runs it
+  production,  ///< paper + every coalescing layer + the backpressure envelope
+};
+
 inline net::NicProfile nic_for(NetworkKind k) {
   switch (k) {
     case NetworkKind::gbe_1:
@@ -60,8 +66,7 @@ inline msgr::MessengerConfig default_msgr() {
   cfg.costs = {.per_msg_encode = 60'000, .per_msg_decode = 70'000,
                .crc_per_byte_ns = 0.3};
   // cfg.cork stays disabled here: the paper's hot path has no write
-  // coalescing, and the figure sweeps reproduce the paper. Batched runs
-  // (RunSpec::batching, perf_smoke, ablation_batching) switch it on.
+  // coalescing. Profile::production switches it on (ClusterConfig::testbed).
   return cfg;
 }
 
@@ -142,7 +147,7 @@ inline proxy::ProxyConfig default_proxy() {
   // rpc_batch / dma_batch stay disabled here for the same reason as the
   // messenger cork: the paper's offload path issues one doorbell and one
   // DMA job per segment, and the calibration (Table 3's DMA row) encodes
-  // that. RunSpec::batching flips all three on for batched runs.
+  // that. Profile::production switches them on (ClusterConfig::testbed).
   return cfg;
 }
 
@@ -208,17 +213,47 @@ struct ClusterConfig {
     cfg.device.retain_below = cfg.wal_off + cfg.wal_len;
     return cfg;
   }
+  /// The proxy as deployed: at least one staging slot per OSD op lane, or
+  /// the paper's single slot would re-serialize the lanes at the offload
+  /// boundary (DESIGN.md §15.4). At op_shards == 1 this is `proxy`.
+  [[nodiscard]] proxy::ProxyConfig proxy_config() const {
+    proxy::ProxyConfig cfg = proxy;
+    cfg.slots = std::max(cfg.slots, osd_template.op_shards);
+    return cfg;
+  }
   [[nodiscard]] dpu::DpuProfile dpu_profile() const { return default_dpu(network); }
 
-  /// The paper's 3-node testbed in the given mode/network.
-  static ClusterConfig paper_testbed(DeployMode mode,
-                                     NetworkKind net = NetworkKind::gbe_100,
-                                     bool retain_data = false) {
+  /// The paper's 3-node testbed in the given profile, mode and network: the
+  /// one place that sets the coalescing switches and the backpressure
+  /// envelope (doceph_lint rule profile-knob).
+  static ClusterConfig testbed(Profile profile, DeployMode mode,
+                               NetworkKind net = NetworkKind::gbe_100,
+                               bool retain_data = false) {
     ClusterConfig cfg;
     cfg.mode = mode;
     cfg.network = net;
     cfg.retain_data = retain_data;
+    if (profile == Profile::production) {
+      cfg.msgr.cork.enabled = true;
+      cfg.proxy.rpc_batch.enabled = true;
+      cfg.proxy.dma_batch.enabled = true;
+      cfg.backend.rpc_batch.enabled = true;
+      // Admission control: bounded queues at every layer, typed throttled
+      // bounces, nearfull write shedding, client AIMD windowing.
+      cfg.osd_template.max_queue_depth = 256;
+      cfg.osd_template.max_conn_inflight = 128;
+      cfg.osd_template.throttle_retry_delay = 2'000'000;  // 2 ms
+      cfg.osd_template.nearfull_ratio = 0.85;
+      cfg.proxy.max_worker_queue = 512;
+      cfg.proxy.slot_acquire_timeout = 5'000'000'000;  // 5 s
+      cfg.client.flow_control = true;
+    }
     return cfg;
+  }
+  static ClusterConfig paper_testbed(DeployMode mode,
+                                     NetworkKind net = NetworkKind::gbe_100,
+                                     bool retain_data = false) {
+    return testbed(Profile::paper, mode, net, retain_data);
   }
 };
 

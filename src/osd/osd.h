@@ -75,8 +75,8 @@ struct OsdConfig {
   /// client load) catching up proceeds once the PG quiesces.
   sim::Duration recovery_quiesce = 5'000'000'000;  // 5 s
 
-  // ---- admission control / backpressure (all OFF by default; the paper
-  // profiles keep them off so the figure sweeps are unchanged) -----------
+  // ---- admission control / backpressure (all off by default and in the
+  // paper profile; the production profile sets them, cluster/profiles.h) --
   /// Bound on op_queue_: a client op arriving while the queue holds this
   /// many entries is bounced with Errc::throttled instead of enqueued.
   /// 0 = unbounded (legacy behavior). Repops are never throttled.

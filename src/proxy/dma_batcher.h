@@ -23,7 +23,7 @@ struct ProxyConfig;
 /// Knobs for the DPU-side segment coalescer. Disabled by default: each
 /// segment then flushes alone on its write worker's thread (the paper's
 /// one-DMA-job-per-segment path, which Table 3's calibration encodes);
-/// RunSpec::batching turns it on for batched runs.
+/// the production cluster profile turns it on (cluster/profiles.h).
 struct DmaBatchConfig {
   bool enabled = false;
   int max_segments = 16;  ///< flush once this many segments queue

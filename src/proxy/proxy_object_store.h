@@ -64,7 +64,8 @@ struct ProxyConfig {
   /// amortization). Off: every segment flushes alone.
   DmaBatchConfig dma_batch;
 
-  // ---- backpressure (OFF by default; paper sweeps unchanged) ------------
+  // ---- backpressure (off by default and in the paper profile; the
+  // production profile sets it, cluster/profiles.h) ----------------------
   /// Bound on each write worker's queue: a txn arriving while the target
   /// queue holds this many entries is completed immediately with
   /// Errc::throttled instead of enqueued. 0 = unbounded (legacy behavior).

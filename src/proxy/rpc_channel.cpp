@@ -114,14 +114,8 @@ void RpcChannel::enqueue_frame_locked(BufferList frame, bool is_request,
   encode(static_cast<std::uint32_t>(frame.length()), entry);
   entry.claim_append(frame);
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-
-  if (!batch_cfg_.enabled) {
-    OutMsg out;
-    out.msg = std::move(entry);
-    if (is_request) out.req_ids.push_back(req_id);
-    sendq_.push_back(std::move(out));
-    return;
-  }
+  // Batching off is a batch of one: every frame rings the size doorbell.
+  const int max_frames = batch_cfg_.enabled ? batch_cfg_.max_frames : 1;
 
   // Size doorbell, part 1: flush what's queued before this entry would
   // overflow one message (keeps the common flush a single send).
@@ -133,7 +127,7 @@ void RpcChannel::enqueue_frame_locked(BufferList frame, bool is_request,
   batch_entries_.push_back(std::move(entry));
   batch_entry_ids_.push_back(is_request ? req_id : 0);
 
-  if (static_cast<int>(batch_entries_.size()) >= batch_cfg_.max_frames ||
+  if (static_cast<int>(batch_entries_.size()) >= max_frames ||
       (inflight_ops_.load(std::memory_order_relaxed) <= 1 &&
        dispatching_.load(std::memory_order_relaxed) == 0) ||
       center_ == nullptr) {

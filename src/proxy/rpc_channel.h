@@ -20,6 +20,8 @@ namespace doceph::proxy {
 /// enqueued while no other op is in flight flushes immediately (no added
 /// latency when idle); under load frames coalesce until the batch fills
 /// (max_frames / message-size cap) or the flush_delay deadline expires.
+/// Disabled, every frame is a batch of one and flushes at once, through
+/// the same path (so the "dpu.batch_flush_stall" fault covers it too).
 struct RpcBatchConfig {
   bool enabled = false;
   int max_frames = 16;             ///< doorbell after this many frames
@@ -34,7 +36,8 @@ struct RpcBatchConfig {
 /// Wire format: every comch message is a container of one or more
 /// [u32 frame_len][frame] entries; a frame is [u64 req_id][u8 flags]
 /// [TraceContext][payload chunk]. Without batching each message carries
-/// exactly one frame; with batching the container is the batch.
+/// exactly one frame (a batch of one); with batching the container is the
+/// batch.
 class RpcChannel {
  public:
   RpcChannel(sim::Env& env, doca::CommChannelRef channel);

@@ -13,6 +13,13 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::num(3.0, 0), "3");
   EXPECT_EQ(Table::pct(0.825), "82.5%");
   EXPECT_EQ(Table::pct(1.0, 0), "100%");
+  // Small negatives that round to zero print without a sign.
+  EXPECT_EQ(Table::num(-0.004, 2), "0.00");
+  EXPECT_EQ(Table::num(-0.4, 0), "0");
+  EXPECT_EQ(Table::num(-0.0, 1), "0.0");
+  EXPECT_EQ(Table::pct(-0.00467, 0), "0%");
+  EXPECT_EQ(Table::num(-0.006, 2), "-0.01");
+  EXPECT_EQ(Table::pct(-0.25, 0), "-25%");
 }
 
 TEST(RunSpec, LabelIsStableAndDistinct) {
@@ -31,6 +38,9 @@ TEST(RunSpec, LabelIsStableAndDistinct) {
   RunSpec e;
   e.dma_failure_rate = 0.01;
   EXPECT_NE(a.label(), e.label());
+  RunSpec prod;
+  prod.profile = cluster::Profile::production;
+  EXPECT_NE(a.label(), prod.label());
   // Op lanes and KV shards are separate dimensions: a split cell is
   // distinct from its mirror, from the diagonal and from the unsharded one.
   RunSpec op4;

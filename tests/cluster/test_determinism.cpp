@@ -28,19 +28,14 @@ struct RunOutput {
 };
 
 /// Four closed-loop clients overwrite their own 16 KB objects on the DoCeph
-/// deployment with every batching knob on, tracing every op.
+/// deployment of the production profile, tracing every op.
 RunOutput small_write_run(std::uint64_t seed) {
   constexpr int kClients = 4;
   constexpr int kOpsPerClient = 12;
   constexpr int kObjectsPerClient = 3;
   Env env(TimeKeeper::Mode::virtual_time, seed);
-  auto cfg = ClusterConfig::paper_testbed(DeployMode::doceph, NetworkKind::gbe_100,
-                                          /*retain_data=*/false);
+  auto cfg = ClusterConfig::testbed(Profile::production, DeployMode::doceph);
   cfg.pg_num = 16;
-  cfg.msgr.cork.enabled = true;
-  cfg.proxy.rpc_batch.enabled = true;
-  cfg.proxy.dma_batch.enabled = true;
-  cfg.backend.rpc_batch.enabled = true;
   Cluster cl(env, cfg);
 
   RunOutput out;

@@ -57,6 +57,32 @@ void ordering_drill(DeployMode mode, int shards) {
   });
 }
 
+TEST(ClusterConfig, ProxySlotsCoverOpLanes) {
+  auto cfg = ClusterConfig::paper_testbed(DeployMode::doceph);
+  EXPECT_EQ(cfg.proxy_config().slots, default_proxy().slots);
+  for (const int lanes : {2, 4, 8}) {
+    cfg.osd_template.op_shards = lanes;
+    EXPECT_GE(cfg.proxy_config().slots, lanes) << "op_shards " << lanes;
+  }
+  // A wider explicit pool is kept as is.
+  cfg.proxy.slots = 16;
+  EXPECT_EQ(cfg.proxy_config().slots, 16);
+}
+
+TEST(ClusterConfig, ProductionProfileAddsCoalescingAndBackpressure) {
+  const auto paper = ClusterConfig::testbed(Profile::paper, DeployMode::doceph);
+  const auto prod = ClusterConfig::testbed(Profile::production, DeployMode::doceph);
+  EXPECT_FALSE(paper.msgr.cork.enabled || paper.proxy.rpc_batch.enabled ||
+               paper.proxy.dma_batch.enabled || paper.backend.rpc_batch.enabled);
+  EXPECT_TRUE(prod.msgr.cork.enabled && prod.proxy.rpc_batch.enabled &&
+              prod.proxy.dma_batch.enabled && prod.backend.rpc_batch.enabled);
+  EXPECT_EQ(paper.osd_template.max_queue_depth, 0u);
+  EXPECT_GT(prod.osd_template.max_queue_depth, 0u);
+  EXPECT_GT(prod.proxy.max_worker_queue, 0u);
+  EXPECT_TRUE(prod.client.flow_control);
+  EXPECT_FALSE(paper.client.flow_control);
+}
+
 TEST(Sharding, PerObjectOrderingHoldsAcrossShardCounts) {
   for (const int shards : {1, 2, 4, 8}) {
     ordering_drill(DeployMode::baseline, shards);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "sim/env.h"
 
@@ -27,6 +28,10 @@ struct NetFixture {
   std::mutex m;
   CondVar cv{env.keeper()};
   SocketRef server;
+  // Every accepted socket, owned here: read handlers hold a raw pointer, so
+  // a socket never owns its own handler (no Socket -> Core -> handler ->
+  // Socket cycle to leak).
+  std::vector<SocketRef> accepted;
   BufferList received;
   bool server_eof = false;
   Time last_delivery = -1;
@@ -54,8 +59,9 @@ struct NetFixture {
       {
         const std::lock_guard<std::mutex> lk(m);
         server = s;
+        accepted.push_back(s);
       }
-      s->set_read_handler(cb, [this, s] {
+      s->set_read_handler(cb, [this, s = s.get()] {
         while (true) {
           BufferList chunk = s->recv(1 << 22);
           if (chunk.empty()) break;

@@ -43,6 +43,9 @@ TEST_P(NetDelayJitterSweep, ByteStreamOrderSurvivesJitter) {
   Fabric fabric(env);
   auto& a = fabric.add_node("a");
   auto& b = fabric.add_node("b");
+  // Owns the accepted socket and outlives the loop: the read handler holds
+  // a raw pointer, so the socket does not own its own handler.
+  SocketRef server;
   event::EventCenter center(env);
   Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
 
@@ -56,7 +59,8 @@ TEST_P(NetDelayJitterSweep, ByteStreamOrderSurvivesJitter) {
   CondVar cv(env.keeper());
   std::string stream;
   ASSERT_TRUE(b.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
+                 server = s;
+                 s->set_read_handler(center, [&, s = s.get()] {
                    while (true) {
                      BufferList c = s->recv(4096);
                      if (c.empty()) break;

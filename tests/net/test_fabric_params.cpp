@@ -43,6 +43,9 @@ TEST_P(FabricSweep, SingleChunkDeliveryTimeAndIntegrity) {
   NicProfile nic{.bw_bytes_per_sec = p.bw, .latency = p.latency};
   auto& a = fabric.add_node("a", nic);
   auto& b = fabric.add_node("b", nic);
+  // Owns the accepted socket and outlives the loop: the read handler holds
+  // a raw pointer, so the socket does not own its own handler.
+  SocketRef server;
   event::EventCenter center(env);
   Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
 
@@ -51,7 +54,8 @@ TEST_P(FabricSweep, SingleChunkDeliveryTimeAndIntegrity) {
   BufferList got;
   Time delivered = -1;
   ASSERT_TRUE(b.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
+                 server = s;
+                 s->set_read_handler(center, [&, s = s.get()] {
                    while (true) {
                      BufferList c = s->recv(1 << 22);
                      if (c.empty()) break;
@@ -87,13 +91,17 @@ TEST(FabricParams, AsymmetricLatencyUsesSenderSide) {
   Fabric fabric(env);
   auto& fast = fabric.add_node("fast", {.bw_bytes_per_sec = 1e9, .latency = 1'000});
   auto& slow = fabric.add_node("slow", {.bw_bytes_per_sec = 1e9, .latency = 900'000});
+  // Owns the accepted socket and outlives the loop: the read handler holds
+  // a raw pointer, so the socket does not own its own handler.
+  SocketRef server;
   event::EventCenter center(env);
   Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
   std::mutex m;
   CondVar cv(env.keeper());
   Time delivered = -1;
   ASSERT_TRUE(slow.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
+                 server = s;
+                 s->set_read_handler(center, [&, s = s.get()] {
                    while (!s->recv(1 << 20).empty()) {
                    }
                    const std::lock_guard<std::mutex> lk(m);
@@ -120,13 +128,17 @@ TEST(FabricParams, ManySmallMessagesKeepOrder) {
   Fabric fabric(env);
   auto& a = fabric.add_node("a");
   auto& b = fabric.add_node("b");
+  // Owns the accepted socket and outlives the loop: the read handler holds
+  // a raw pointer, so the socket does not own its own handler.
+  SocketRef server;
   event::EventCenter center(env);
   Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
   std::mutex m;
   CondVar cv(env.keeper());
   std::string stream;
   ASSERT_TRUE(b.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
+                 server = s;
+                 s->set_read_handler(center, [&, s = s.get()] {
                    while (true) {
                      BufferList c = s->recv(4096);
                      if (c.empty()) break;

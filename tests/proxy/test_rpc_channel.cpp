@@ -164,5 +164,39 @@ TEST(RpcChannel, BytesSentAccounting) {
   EXPECT_GE(f.server->bytes_sent(), 10'000u);  // the echo
 }
 
+TEST(RpcChannel, UnbatchedSendsOneFramePerMessage) {
+  RpcFixture f;
+  ASSERT_FALSE(f.client->batch_config().enabled);
+  f.start_echo();
+  run_sim(f.env, [&] {
+    // 10 KB fragments into three frames; each must ring its own doorbell.
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(f.client->call(BufferList::copy_of(pattern(10'000)), 1'000'000'000)
+                      .ok());
+    }
+    ASSERT_TRUE(f.client->call(BufferList::copy_of("small"), 1'000'000'000).ok());
+  });
+  EXPECT_GT(f.client->frames_sent(), 5u);
+  EXPECT_EQ(f.client->frames_sent(), f.client->batch_flushes());
+  EXPECT_EQ(f.server->frames_sent(), f.server->batch_flushes());
+}
+
+TEST(RpcChannel, FlushStallDefersUnbatchedDoorbell) {
+  RpcFixture f;
+  ASSERT_FALSE(f.client->batch_config().enabled);
+  f.start_echo();
+  constexpr sim::Duration kStall = 5'000'000;  // 5 ms
+  f.env.faults().set("dpu.batch_flush_stall",
+                     fault::FaultSpec{.count = 1, .force_next = 1, .delay_ns = kStall});
+  run_sim(f.env, [&] {
+    const Time t0 = f.env.now();
+    auto r = f.client->call(BufferList::copy_of("stalled"), 1'000'000'000);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r->to_string(), "stalled");
+    EXPECT_GE(f.env.now() - t0, kStall);
+  });
+  EXPECT_EQ(f.client->batch_stalls() + f.server->batch_stalls(), 1u);
+}
+
 }  // namespace
 }  // namespace doceph::proxy
