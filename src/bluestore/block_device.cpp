@@ -42,6 +42,14 @@ void DeviceBacking::read(std::uint64_t off, std::uint64_t len, char* out) const 
   }
 }
 
+void DeviceBacking::discard(std::uint64_t off, std::uint64_t len) {
+  const std::uint64_t first = (off + kChunk - 1) / kChunk;
+  const std::uint64_t last = (off + len) / kChunk;  // exclusive
+  if (first >= last) return;
+  const dbg::LockGuard lk(mutex_);
+  chunks_.erase(chunks_.lower_bound(first), chunks_.lower_bound(last));
+}
+
 BlockDevice::BlockDevice(sim::Env& env, BlockDeviceConfig cfg,
                          std::shared_ptr<DeviceBacking> backing)
     : env_(env),

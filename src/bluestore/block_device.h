@@ -43,9 +43,17 @@ class DeviceBacking {
 
   void write(std::uint64_t off, const BufferList& data);
   void read(std::uint64_t off, std::uint64_t len, char* out) const;
+  /// Drop every chunk lying wholly inside [off, off+len); those bytes read
+  /// back as zeros. Partly covered chunks keep their bytes.
+  void discard(std::uint64_t off, std::uint64_t len);
   void discard_all() {
     const dbg::LockGuard lk(mutex_);
     chunks_.clear();
+  }
+  /// Bytes of memory the allocated chunks hold.
+  [[nodiscard]] std::uint64_t resident_bytes() const {
+    const dbg::LockGuard lk(mutex_);
+    return chunks_.size() * kChunk;
   }
 
  private:
@@ -85,6 +93,11 @@ class BlockDevice {
 
   /// Completes after everything previously submitted has completed.
   void flush(IoCb cb);
+
+  /// Tell the device [off, off+len) holds nothing live (TRIM): the backing
+  /// frees the whole chunks inside it. Instant in simulated time; the
+  /// caller must have no IO to the range in flight.
+  void discard(std::uint64_t off, std::uint64_t len) { backing_->discard(off, len); }
 
   [[nodiscard]] std::uint64_t size() const noexcept { return cfg_.size_bytes; }
   [[nodiscard]] const BlockDeviceConfig& config() const noexcept { return cfg_; }

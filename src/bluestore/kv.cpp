@@ -148,6 +148,12 @@ Status KvStore::write_checkpoint(Shard& s, int segment, std::uint64_t generation
     end_off = segment_off(s, end_seg) + second.length();
     st = dev_.write(segment_off(s, end_seg), second);
     if (!st.ok()) return st;
+  } else {
+    // The new checkpoint is durable and self-contained: the other segment
+    // holds only records it supersedes and the previous checkpoint, so free
+    // that memory (a spanning chain lives in both segments and frees none).
+    const int other = 1 - segment;
+    dev_.discard(segment_off(s, other), segment_len());
   }
   s.active_segment = end_seg;
   s.generation = generation;

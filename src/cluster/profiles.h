@@ -213,12 +213,17 @@ struct ClusterConfig {
     cfg.device.retain_below = cfg.wal_off + cfg.wal_len;
     return cfg;
   }
-  /// The proxy as deployed: at least one staging slot per OSD op lane, or
-  /// the paper's single slot would re-serialize the lanes at the offload
-  /// boundary (DESIGN.md §15.4). At op_shards == 1 this is `proxy`.
+  /// The proxy as deployed: one write pipeline per OSD op lane, i.e. at
+  /// least one staging slot and a full set of write workers per lane. A
+  /// worker holds its request through DMA, the stage ack and the host
+  /// commit, so one shared set (like one slot) would re-serialize the lanes
+  /// at the offload boundary (DESIGN.md §15.4). At op_shards == 1 this is
+  /// `proxy`.
   [[nodiscard]] proxy::ProxyConfig proxy_config() const {
     proxy::ProxyConfig cfg = proxy;
-    cfg.slots = std::max(cfg.slots, osd_template.op_shards);
+    const int lanes = std::max(1, osd_template.op_shards);
+    cfg.slots = std::max(cfg.slots, lanes);
+    cfg.write_workers *= lanes;
     return cfg;
   }
   [[nodiscard]] dpu::DpuProfile dpu_profile() const { return default_dpu(network); }

@@ -8,10 +8,8 @@
 namespace doceph {
 
 Slice Slice::allocate(std::size_t len) {
-  // shared_ptr<char[]> with value-init suppressed: make_shared value-inits,
-  // which we avoid for large buffers; use the default_init overload pattern.
-  std::shared_ptr<char[]> store(new char[len]);
-  return {std::move(store), 0, len};
+  // One allocation for the bytes and the count, left uninitialized.
+  return {std::make_shared_for_overwrite<char[]>(len), 0, len};
 }
 
 Slice Slice::copy_of(const void* data, std::size_t len) {
@@ -33,7 +31,26 @@ void BufferList::append(Slice s) {
 
 void BufferList::append(const void* data, std::size_t len) {
   if (len == 0) return;
-  append(Slice::copy_of(data, len));
+  if (len > kSmallAppend) {
+    append(Slice::copy_of(data, len));
+    return;
+  }
+  if (!tail_ || kAppendBlock - tail_fill_ < len) {
+    tail_ = std::make_shared_for_overwrite<char[]>(kAppendBlock);
+    tail_fill_ = 0;
+  }
+  std::memcpy(tail_.get() + tail_fill_, data, len);
+  len_ += len;
+  // Only this list writes past the fill point, so whichever slice ends
+  // there (ours, or one claimed from a copy of us) may grow over the bytes.
+  Slice* last = slices_.empty() ? nullptr : &slices_.back();
+  if (last != nullptr && last->store_ == tail_ &&
+      last->off_ + last->len_ == tail_fill_) {
+    last->len_ += len;
+  } else {
+    slices_.emplace_back(tail_, tail_fill_, len);
+  }
+  tail_fill_ += len;
 }
 
 void BufferList::append_zero(std::size_t len) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace doceph {
@@ -33,6 +34,8 @@ class Slice {
   [[nodiscard]] Slice subslice(std::size_t off, std::size_t len) const;
 
  private:
+  friend class BufferList;  // grows its last slice into its append buffer
+
   std::shared_ptr<char[]> store_;
   std::size_t off_ = 0;
   std::size_t len_ = 0;
@@ -41,9 +44,35 @@ class Slice {
 /// A rope of Slices, modeled after Ceph's bufferlist: appending, zero-copy
 /// substr/claim, checksumming, and a decode Cursor. This is the unit of
 /// payload throughout the messenger, object store, and proxy layers.
+///
+/// Small copying appends (encoded fields) land in a private append buffer,
+/// like Ceph's bufferlist append buffer: a block owned by this list alone
+/// whose bytes past its fill point no slice anywhere covers. An append
+/// writes there and grows the last slice in place when that slice ends at
+/// the fill point, so encoding a message costs one allocation per block
+/// rather than one per field. Copies and substrs never inherit the block,
+/// so nothing appended later is visible through them.
 class BufferList {
  public:
   BufferList() = default;
+  BufferList(const BufferList& other) : slices_(other.slices_), len_(other.len_) {}
+  BufferList& operator=(const BufferList& other) {
+    slices_ = other.slices_;
+    len_ = other.len_;
+    return *this;
+  }
+  BufferList(BufferList&& other) noexcept
+      : slices_(std::move(other.slices_)),
+        len_(std::exchange(other.len_, 0)),
+        tail_(std::move(other.tail_)),
+        tail_fill_(std::exchange(other.tail_fill_, 0)) {}
+  BufferList& operator=(BufferList&& other) noexcept {
+    slices_ = std::move(other.slices_);
+    len_ = std::exchange(other.len_, 0);
+    tail_ = std::move(other.tail_);
+    tail_fill_ = std::exchange(other.tail_fill_, 0);
+    return *this;
+  }
 
   [[nodiscard]] std::size_t length() const noexcept { return len_; }
   [[nodiscard]] bool empty() const noexcept { return len_ == 0; }
@@ -113,8 +142,15 @@ class BufferList {
   };
 
  private:
+  /// Appends up to this long go to the append buffer; longer ones get a
+  /// slice of their own.
+  static constexpr std::size_t kSmallAppend = 256;
+  static constexpr std::size_t kAppendBlock = 512;
+
   std::vector<Slice> slices_;
   std::size_t len_ = 0;
+  std::shared_ptr<char[]> tail_;  ///< append buffer (never shared by copies)
+  std::size_t tail_fill_ = 0;     ///< bytes of `tail_` handed out so far
 };
 
 }  // namespace doceph

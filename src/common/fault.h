@@ -31,7 +31,7 @@ struct FaultSpec {
   std::int64_t count = -1;  ///< max fires; -1 = unlimited, 1 = one-shot
   std::int64_t force_next = 0;
   std::uint64_t delay_ns = 0;
-  std::string match;
+  std::string match{};
 };
 
 /// Result of consulting a fault point: whether any armed spec fired for

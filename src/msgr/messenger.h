@@ -72,7 +72,7 @@ struct CorkConfig {
 struct MessengerConfig {
   int num_workers = 3;  ///< Ceph default: 3 async msgr workers
   MsgrCostModel costs;
-  CorkConfig cork;
+  CorkConfig cork{};
 };
 
 /// One wire connection. All state is owned by a single worker's event loop;

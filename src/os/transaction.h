@@ -32,13 +32,13 @@ class Transaction {
  public:
   struct Op {
     TxnOp op{};
-    coll_t cid;
-    ghobject_t oid;
+    coll_t cid{};
+    ghobject_t oid{};
     std::uint64_t off = 0;
     std::uint64_t len = 0;
-    BufferList data;                          // write payload
-    std::map<std::string, BufferList> kv;     // omap_set pairs
-    std::vector<std::string> keys;            // omap_rm_keys
+    BufferList data{};                        // write payload
+    std::map<std::string, BufferList> kv{};   // omap_set pairs
+    std::vector<std::string> keys{};          // omap_rm_keys
 
     void encode(BufferList& bl) const;
     bool decode(BufferList::Cursor& cur);

@@ -71,7 +71,7 @@ void DmaBatcher::enqueue(BufferList seg, std::uint64_t token,
   if (solo || !cfg_.dma_batch.enabled) {
     std::vector<Entry> one;
     one.push_back(std::move(e));
-    flush(std::move(one));
+    flush(std::move(one), acquire_slot());
     return;
   }
   const dbg::LockGuard lk(m_);
@@ -82,7 +82,6 @@ void DmaBatcher::enqueue(BufferList seg, std::uint64_t token,
 
 void DmaBatcher::loop() {
   while (true) {
-    std::vector<Entry> batch;
     {
       dbg::UniqueLock lk(m_);
       cv_.wait(lk, [&] {
@@ -102,19 +101,7 @@ void DmaBatcher::loop() {
                  q_bytes_ >= slots_.slot_size();
         });
       }
-      // Greedy prefix that shares one slot (order-preserving).
-      std::size_t bytes = 0;
-      while (!q_.empty() &&
-             static_cast<int>(batch.size()) < cfg_.dma_batch.max_segments) {
-        const std::size_t n = q_.front().seg.length();
-        if (!batch.empty() && bytes + n > slots_.slot_size()) break;
-        bytes += n;
-        q_bytes_ -= n;
-        batch.push_back(std::move(q_.front()));
-        q_.pop_front();
-      }
     }
-    if (batch.empty()) continue;
 
     // Chaos hook: a fired stall defers this flush by the fault's delay
     // before proceeding (segments keep their completion guarantees, just
@@ -132,19 +119,42 @@ void DmaBatcher::loop() {
         return stopping_;
       });
     }
-    flush(std::move(batch));
+
+    // Slot first, batch second: segments that queue while the slot is
+    // busy join this batch instead of waiting out one more slot hold.
+    const std::optional<int> slot = acquire_slot();
+    std::vector<Entry> batch;
+    {
+      const dbg::LockGuard lk(m_);
+      // Greedy prefix that shares one slot (order-preserving).
+      std::size_t bytes = 0;
+      while (!q_.empty() &&
+             static_cast<int>(batch.size()) < cfg_.dma_batch.max_segments) {
+        const std::size_t n = q_.front().seg.length();
+        if (!batch.empty() && bytes + n > slots_.slot_size()) break;
+        bytes += n;
+        q_bytes_ -= n;
+        batch.push_back(std::move(q_.front()));
+        q_.pop_front();
+      }
+    }
+    assert(!batch.empty());  // only this thread pops the queue
+    flush(std::move(batch), slot);
   }
 }
 
-void DmaBatcher::flush(std::vector<Entry> batch) {
-  // One slot hosts the whole batch; blocked time counts toward each
-  // member's DMA-wait. With a deadline configured, starvation throttles
-  // every member instead of wedging this thread behind a saturated DMA
-  // pipeline.
-  const std::optional<int> got =
-      cfg_.slot_acquire_timeout > 0
-          ? slots_.acquire_for(cfg_.slot_acquire_timeout)
-          : std::optional<int>(slots_.acquire());
+std::optional<int> DmaBatcher::acquire_slot() {
+  // With a deadline configured, starvation throttles the batch instead of
+  // wedging this thread behind a saturated DMA pipeline.
+  return cfg_.slot_acquire_timeout > 0
+             ? slots_.acquire_for(cfg_.slot_acquire_timeout)
+             : std::optional<int>(slots_.acquire());
+}
+
+void DmaBatcher::flush(std::vector<Entry> batch, std::optional<int> got) {
+  // One slot hosts the whole batch; the time from hand-off to `got` counts
+  // toward each member's DMA-wait. No slot means the acquire timed out:
+  // every member is throttled.
   const sim::Time acquired = env_.now();
   for (auto& e : batch) e.stamps.acquired = acquired;
   if (!got) {

@@ -3,6 +3,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,8 +40,12 @@ struct DmaBatchConfig {
 /// concurrent requests into one flush, amortizing the per-job DMA setup
 /// latency and the per-message comch doorbell across the batch (the
 /// small-IO analogue of the paper's segmentation pipeline, which only
-/// helps large writes). With batching off, and for fallback probes, the
-/// caller's thread flushes its segment as a batch of one.
+/// helps large writes). The thread waits out its flush deadline, then
+/// acquires the slot, and only then closes the batch: segments that queue
+/// while every slot is busy ride the next flush together instead of
+/// waiting one more slot hold each. With batching off, and for fallback
+/// probes, the caller's thread acquires a slot and flushes its segment as
+/// a batch of one.
 class DmaBatcher {
  public:
   /// Per-segment stamps for Table 3: hand-off -> `acquired` (the flush got
@@ -99,7 +104,12 @@ class DmaBatcher {
   struct BatchState;
 
   void loop();
-  void flush(std::vector<Entry> batch);
+  /// A free slot, waiting at most ProxyConfig::slot_acquire_timeout when
+  /// one is set; nullopt when that deadline passed.
+  std::optional<int> acquire_slot();
+  /// Stage, DMA and hand off `batch` through slot `got`; with no slot (an
+  /// acquire timeout) every member completes as Errc::throttled.
+  void flush(std::vector<Entry> batch, std::optional<int> got);
   void finish_batch(const std::shared_ptr<BatchState>& bs);
 
   sim::Env& env_;

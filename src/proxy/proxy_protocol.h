@@ -39,7 +39,7 @@ struct DataRef {
   Kind kind = Kind::inline_;
   std::uint32_t index = 0;  ///< staged: per-request segment seq; slot: slot id
   std::uint32_t len = 0;
-  BufferList data;          ///< used when kind == inline_
+  BufferList data{};        ///< used when kind == inline_
 
   [[nodiscard]] bool inline_data() const noexcept { return kind == Kind::inline_; }
 

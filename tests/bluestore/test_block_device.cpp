@@ -164,5 +164,26 @@ TEST(BlockDevice, SparseBackingChunkBoundaries) {
   });
 }
 
+TEST(BlockDevice, DiscardFreesWholeChunksOnly) {
+  Env env;
+  BlockDevice dev(env, small_cfg());
+  constexpr std::uint64_t kChunk = DeviceBacking::kChunk;
+  const std::string data = pattern(3 * kChunk);
+  run_sim(env, [&] {
+    ASSERT_TRUE(dev.write(0, BufferList::copy_of(data)).ok());
+    EXPECT_EQ(dev.backing()->resident_bytes(), 3 * kChunk);
+    // [100, 2 chunks + 100) covers chunk 1 only: chunks 0 and 2 keep every
+    // byte, chunk 1 reads back as zeros and no longer takes memory.
+    dev.discard(100, 2 * kChunk);
+    EXPECT_EQ(dev.backing()->resident_bytes(), 2 * kChunk);
+    EXPECT_EQ(dev.read(0, kChunk)->to_string(), data.substr(0, kChunk));
+    EXPECT_EQ(dev.read(kChunk, kChunk)->to_string(), std::string(kChunk, '\0'));
+    EXPECT_EQ(dev.read(2 * kChunk, kChunk)->to_string(),
+              data.substr(2 * kChunk, kChunk));
+    dev.discard(kChunk / 2, kChunk / 4);  // inside one chunk: a no-op
+    EXPECT_EQ(dev.backing()->resident_bytes(), 2 * kChunk);
+  });
+}
+
 }  // namespace
 }  // namespace doceph::bluestore

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "../test_util.h"
@@ -21,17 +22,18 @@ struct KvFixture {
   std::unique_ptr<BlockDevice> dev;
   std::unique_ptr<KvStore> kv;
 
-  explicit KvFixture(std::uint64_t wal_len = 8 << 20) {
+  explicit KvFixture(std::uint64_t wal_len = 8 << 20,
+                     std::uint64_t wal_off = 4096) {
     dev_cfg.size_bytes = 1 << 30;
     dev = std::make_unique<BlockDevice>(env, dev_cfg, backing);
-    kv = std::make_unique<KvStore>(env, *dev, 4096, wal_len, nullptr);
+    kv = std::make_unique<KvStore>(env, *dev, wal_off, wal_len, nullptr);
   }
 
   /// Re-open the store over the same backing (remount or post-crash).
-  void reopen(std::uint64_t wal_len = 8 << 20) {
+  void reopen(std::uint64_t wal_len = 8 << 20, std::uint64_t wal_off = 4096) {
     kv.reset();
     dev = std::make_unique<BlockDevice>(env, dev_cfg, backing);
-    kv = std::make_unique<KvStore>(env, *dev, 4096, wal_len, nullptr);
+    kv = std::make_unique<KvStore>(env, *dev, wal_off, wal_len, nullptr);
   }
 
   static KvTxn set(const std::string& k, const std::string& v) {
@@ -161,6 +163,49 @@ TEST(KvStore, SegmentRollCheckpointsAndSurvives) {
     EXPECT_EQ(f.kv->num_keys(), 7u);
     // Last writes win: key big(59%7=3) has the payload from i=59.
     EXPECT_EQ(f.kv->get("big3")->to_string(), pattern(100 << 10, 59));
+    EXPECT_TRUE(f.kv->umount().ok());
+  });
+}
+
+TEST(KvStore, RollFreesTheSupersededSegment) {
+  // A single-chunk checkpoint supersedes everything in the other segment,
+  // so the backing frees it: resident WAL memory stays near one segment
+  // however many rolls happen, instead of growing to both. A chunk-aligned
+  // WAL makes the bound exact (1 MiB segments, 7 keys of 100 KiB: a roll
+  // every few records). A crash right after a roll must still recover
+  // every acknowledged txn from the new checkpoint alone.
+  constexpr std::uint64_t kWalLen = 2 << 20;
+  constexpr std::uint64_t kWalOff = DeviceBacking::kChunk;
+  constexpr std::uint64_t kSegment = kWalLen / 2;
+  KvFixture f(kWalLen, kWalOff);
+  std::map<std::string, std::string> acked;
+  int rolls = 0;
+  run_sim(f.env, [&] {
+    ASSERT_TRUE(f.kv->mkfs().ok());
+    ASSERT_TRUE(f.kv->mount().ok());
+    for (int i = 0; rolls < 6; ++i) {
+      const std::string key = "big" + std::to_string(i % 7);
+      const std::string value = pattern(100 << 10, static_cast<unsigned>(i));
+      const std::uint64_t before = f.kv->append_offset();
+      ASSERT_TRUE(f.kv->submit(KvFixture::set(key, value)).ok());
+      acked[key] = value;
+      const bool rolled =
+          (before - kWalOff) / kSegment != (f.kv->append_offset() - kWalOff) / kSegment;
+      if (rolled) ++rolls;
+      EXPECT_LE(f.backing->resident_bytes(), kSegment + DeviceBacking::kChunk)
+          << "after record " << i;
+    }
+    f.kv->crash();  // the last submit rolled: crash right after the roll
+  });
+  f.reopen(kWalLen, kWalOff);
+  run_sim(f.env, [&] {
+    ASSERT_TRUE(f.kv->mount().ok());
+    EXPECT_EQ(f.kv->num_keys(), acked.size());
+    for (const auto& [key, value] : acked) {
+      const auto got = f.kv->get(key);
+      ASSERT_TRUE(got.has_value()) << key;
+      EXPECT_EQ(got->to_string(), value) << key;
+    }
     EXPECT_TRUE(f.kv->umount().ok());
   });
 }

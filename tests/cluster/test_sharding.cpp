@@ -64,6 +64,15 @@ TEST(ClusterConfig, ProxySlotsCoverOpLanes) {
     cfg.osd_template.op_shards = lanes;
     EXPECT_GE(cfg.proxy_config().slots, lanes) << "op_shards " << lanes;
   }
+  // Each lane also gets the paper's full set of write workers: a worker
+  // holds its request through the host commit, so a shared set would cap
+  // every lane count at one lane's throughput.
+  for (const int lanes : {1, 4, 8}) {
+    cfg.osd_template.op_shards = lanes;
+    EXPECT_EQ(cfg.proxy_config().write_workers,
+              default_proxy().write_workers * lanes)
+        << "op_shards " << lanes;
+  }
   // A wider explicit pool is kept as is.
   cfg.proxy.slots = 16;
   EXPECT_EQ(cfg.proxy_config().slots, 16);

@@ -83,9 +83,10 @@ TEST(TracingE2E, SampledWriteCoversEveryFig2Stage) {
     std::int64_t stage_sum = 0;
     for (std::size_t i = 0; i < stages.size(); ++i) {
       stage_sum += stages[i].end - stages[i].start;
-      if (i + 1 < stages.size())
+      if (i + 1 < stages.size()) {
         EXPECT_EQ(stages[i].end, stages[i + 1].start)
             << stages[i].name << " -> " << stages[i + 1].name;
+      }
     }
     EXPECT_EQ(stage_sum, osd_op->end - osd_op->start);
 

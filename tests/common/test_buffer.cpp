@@ -4,16 +4,19 @@
 
 #include <numeric>
 #include <string>
+#include <string_view>
 
 #include "common/crc32c.h"
 
 namespace doceph {
 namespace {
 
+/// One slice per `frag` bytes (a small copying append would coalesce them
+/// in the list's append buffer).
 BufferList fragmented(const std::string& s, std::size_t frag) {
   BufferList bl;
   for (std::size_t i = 0; i < s.size(); i += frag)
-    bl.append(s.substr(i, frag));
+    bl.append(Slice::copy_of(std::string_view(s).substr(i, frag)));
   return bl;
 }
 
@@ -47,8 +50,75 @@ TEST(BufferList, AppendAndToString) {
   bl.append("def");
   bl.append('g');
   EXPECT_EQ(bl.length(), 7u);
-  EXPECT_EQ(bl.num_slices(), 3u);
+  // Small appends grow one slice of the append buffer in place.
+  EXPECT_EQ(bl.num_slices(), 1u);
   EXPECT_EQ(bl.to_string(), "abcdefg");
+}
+
+TEST(BufferList, SmallAppendsFillBlocksInOrder) {
+  BufferList bl;
+  std::string want;
+  for (int i = 0; i < 300; ++i) {
+    const std::string field = std::to_string(i) + ",";
+    bl.append(field);
+    want += field;
+  }
+  bl.append(std::string(300, 'L'));  // too long for the append buffer
+  want += std::string(300, 'L');
+  bl.append("tail");
+  want += "tail";
+  EXPECT_EQ(bl.to_string(), want);
+  EXPECT_LT(bl.num_slices(), 10u);
+}
+
+TEST(BufferList, CopyNeverSeesLaterAppends) {
+  BufferList a;
+  a.append("abc");
+  BufferList copy = a;
+  BufferList assigned;
+  assigned.append("zz");
+  assigned = a;
+  const BufferList sub = a.substr(0, 3);
+  a.append("def");
+  EXPECT_EQ(copy.to_string(), "abc");
+  EXPECT_EQ(assigned.to_string(), "abc");
+  EXPECT_EQ(sub.to_string(), "abc");
+  // Appending to a copy must not write into the bytes `a` owns next.
+  copy.append("XYZ");
+  assigned.append("123");
+  a.append("ghi");
+  EXPECT_EQ(a.to_string(), "abcdefghi");
+  EXPECT_EQ(copy.to_string(), "abcXYZ");
+  EXPECT_EQ(assigned.to_string(), "abc123");
+  EXPECT_EQ(sub.to_string(), "abc");
+}
+
+TEST(BufferList, AppendsAfterClaimAndListAppendStayCorrect) {
+  BufferList a;
+  a.append("ab");
+  BufferList b;
+  b.append("cd");
+  a.claim_append(b);  // a's last slice is now b's, ending where a's fill does
+  a.append("ef");
+  b.append("gh");
+  EXPECT_EQ(a.to_string(), "abcdef");
+  EXPECT_EQ(b.to_string(), "gh");
+
+  BufferList c;
+  c.append("xy");
+  const BufferList snapshot = c;
+  c.append(snapshot);  // last slice is a copy of c's own
+  c.append("z");
+  EXPECT_EQ(c.to_string(), "xyxyz");
+  EXPECT_EQ(snapshot.to_string(), "xy");
+
+  BufferList moved = std::move(c);
+  moved.append("!");
+  EXPECT_EQ(moved.to_string(), "xyxyz!");
+  EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  c.append("new");
+  EXPECT_EQ(c.to_string(), "new");
+  EXPECT_EQ(moved.to_string(), "xyxyz!");
 }
 
 TEST(BufferList, AppendZero) {

@@ -347,6 +347,69 @@ TEST(DmaBatching, SlotAcquireTimeoutThrottlesThenRecovers) {
   }
 }
 
+TEST(DmaBatching, SegmentsQueuedDuringASlotHoldFlushTogether) {
+  // Slot first, batch second: while the only staging slot is busy the
+  // coalescing thread waits for it before closing its batch, so the
+  // segment that opened the batch and every segment queued during the hold
+  // ride one flush. Closing the batch first would flush the opener alone
+  // and make the rest wait out a second slot hold.
+  ProxyConfig cfg = batched_config();
+  cfg.slots = 1;
+  BatchProxyFixture f(cfg);
+  f.up();
+  constexpr int kWrites = 6;  // consecutive PG seeds: one write worker each
+  const std::string payload = pattern(16 << 10);
+  std::uint64_t flushes_during_hold = 0;
+  run_sim(f.env, [&] {
+    std::vector<os::Transaction> colls;
+    for (int i = 0; i < kWrites; ++i) {
+      os::Transaction t;
+      t.create_collection({3, static_cast<std::uint32_t>(i)});
+      colls.push_back(std::move(t));
+    }
+    ASSERT_TRUE(f.commit_all(std::move(colls)).ok());
+
+    std::mutex m;
+    CondVar cv(f.env.keeper());
+    int done = 0;
+    Status first_error;
+    auto queue_write = [&](int i) {
+      os::Transaction t;
+      t.write_full({3, static_cast<std::uint32_t>(i)}, {1, "h" + std::to_string(i)},
+                   BufferList::copy_of(payload));
+      f.proxy->queue_transaction(std::move(t), [&](Status st) {
+        const std::lock_guard<std::mutex> lk(m);
+        if (first_error.ok() && !st.ok()) first_error = st;
+        ++done;
+        cv.notify_all();
+      });
+    };
+    const int held = f.proxy->slots().acquire();
+    queue_write(0);
+    f.env.keeper().sleep_for(1'000'000);  // well past the 150 us deadline
+    for (int i = 1; i < kWrites; ++i) queue_write(i);
+    f.env.keeper().sleep_for(1'000'000);
+    flushes_during_hold = f.proxy->perf_counters()->get(l_dpu_batch_flushes);
+    f.proxy->slots().release(held);
+    {
+      std::unique_lock<std::mutex> lk(m);
+      cv.wait(lk, [&] { return done == kWrites; });
+    }
+    ASSERT_TRUE(first_error.ok()) << first_error.to_string();
+    for (int i = 0; i < kWrites; ++i) {
+      auto r = f.proxy->read({3, static_cast<std::uint32_t>(i)},
+                             {1, "h" + std::to_string(i)}, 0, 0);
+      ASSERT_TRUE(r.ok()) << r.status().to_string();
+      EXPECT_EQ(r->to_string(), payload);
+    }
+  });
+  const auto& c = f.proxy->perf_counters();
+  EXPECT_EQ(flushes_during_hold, 0u);
+  EXPECT_EQ(c->get(l_dpu_batch_flushes), 1u);
+  EXPECT_EQ(c->get(l_dpu_batch_segments), static_cast<std::uint64_t>(kWrites));
+  f.down();
+}
+
 TEST(DmaBatching, PerExtentFaultFailsOneWriteOthersSurvive) {
   BatchProxyFixture f(batched_config());
   f.up();

@@ -117,7 +117,7 @@ TEST(ProxyReads, OffsetRangesAcrossSegmentBoundaries) {
   const std::string content = pattern(6 << 20, 4);
   f.up_with(content);
   run_sim(f.env, [&] {
-    for (const auto [off, len] :
+    for (const auto& [off, len] :
          {std::pair<std::size_t, std::size_t>{0, 100},
           {2 << 20, 4096},            // exactly at a slot boundary
           {(2 << 20) - 50, 100},      // straddles it
