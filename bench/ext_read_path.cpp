@@ -49,7 +49,6 @@ ReadResult run_read_bench(cluster::DeployMode mode, std::uint64_t object_size) {
     int remaining = kReaders;
     {
       std::vector<sim::Thread> readers;
-      auto hold = sim::TimeKeeper::AdvanceHold(env.keeper());
       for (int t = 0; t < kReaders; ++t) {
         readers.push_back(env.spawn(
             "bench-reader-" + std::to_string(t), &cl.client_cpu(), [&, t] {
@@ -66,7 +65,6 @@ ReadResult run_read_bench(cluster::DeployMode mode, std::uint64_t object_size) {
               if (--remaining == 0) done_cv.notify_all();
             }));
       }
-      hold.release();
       std::unique_lock<std::mutex> lk(m);
       done_cv.wait(lk, [&] { return remaining == 0; });
       readers.clear();

@@ -27,8 +27,8 @@ double comch_rpc_rtt_us() {
   proxy::RpcChannel server(env, host);
   proxy::RpcChannel client(env, dpu);
   event::EventCenter sc(env), cc(env);
-  sim::Thread st(env.keeper(), env.stats(), "server", nullptr, [&] { sc.run(); }, true);
-  sim::Thread ct(env.keeper(), env.stats(), "client", nullptr, [&] { cc.run(); }, true);
+  sim::Thread st(env.keeper(), env.stats(), "server", nullptr, [&] { sc.run(); });
+  sim::Thread ct(env.keeper(), env.stats(), "client", nullptr, [&] { cc.run(); });
   server.set_request_handler([](BufferList, bool,
                                 proxy::RpcChannel::Responder respond,
                                 const trace::TraceContext&) {

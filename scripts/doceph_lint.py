@@ -67,6 +67,17 @@ Rules (each finding prints as `path:line: [rule] message`):
                   is spelled out; a bench or library copy of the envelope
                   drifts from it. Unit tests and perfbench/ are exempt.
 
+  real-time-wait  A std::this_thread::yield / sleep_for / sleep_until call
+                  anywhere in the linted scope outside src/sim/. Nothing
+                  simulated runs while an outside thread waits in real time
+                  (the simulation advances only inside an outside join such
+                  as Env::run_on_sim_thread), and a sim thread that waits in
+                  real time stalls every other one, so a real-time poll of
+                  simulation state never makes progress. Wait inside the
+                  simulation instead (a sim CondVar, a keeper sleep). A test
+                  that sleeps on purpose carries an inline waiver:
+                      std::this_thread::sleep_for(d);  // doceph-lint: allow(real-time-wait) <reason>
+
 Modes:
   doceph_lint.py                  lint the tree (src/ tests/ bench/ examples/,
                                   minus tests/lint/ fixtures); exit 1 on any
@@ -104,6 +115,7 @@ BARE_MUTEX_ALLOWED_DIRS = ("src/dbg/", "src/sim/")
 NATIVE_ALLOWED = ("src/dbg/", "src/sim/time_keeper.")
 
 WAIVER_RE = re.compile(r"//\s*doceph-lint:\s*allow\(bare-mutex\)")
+REAL_TIME_WAIVER_RE = re.compile(r"//\s*doceph-lint:\s*allow\(real-time-wait\)")
 EXPECT_RE = re.compile(r"//\s*doceph-lint-expect:\s*([a-z-]+)")
 
 # A *declaration*: the bare type followed by an identifier (member, local or
@@ -117,6 +129,12 @@ BARE_DECL_RE = re.compile(
 )
 
 NATIVE_RE = re.compile(r"\.\s*native\s*\(\s*\)")
+
+# real-time-wait: the keeper itself (src/sim/) is the one place that may
+# wait in real time (its stall watchdog).
+REAL_TIME_WAIT_ALLOWED_DIR = "src/sim/"
+REAL_TIME_WAIT_RE = re.compile(
+    r"\bstd\s*::\s*this_thread\s*::\s*(yield|sleep_for|sleep_until)\b")
 
 # Call sites consuming a fault-point name as their first string argument.
 # The "<layer>.<event>" shape (a dot) keeps generic .set("key", ...) calls on
@@ -252,6 +270,17 @@ def lint_file(path: Path, registry: set[str], trace_registry: set[str],
                 "dbg::Mutex::native() escapes lockdep and the thread-safety "
                 "analysis; it is reserved for the condvar substrate "
                 "(src/dbg/, src/sim/time_keeper.*)"))
+
+        # Rule: real-time-wait
+        wait_ok = enforce_allowlists and relpath.startswith(REAL_TIME_WAIT_ALLOWED_DIR)
+        m = None if wait_ok else REAL_TIME_WAIT_RE.search(code)
+        if m and not REAL_TIME_WAIVER_RE.search(raw):
+            findings.append(Finding(
+                path, lineno, "real-time-wait",
+                f"std::this_thread::{m.group(1)} waits in real time, where "
+                "nothing simulated runs; wait inside the simulation (a sim "
+                "CondVar or keeper sleep on a joined sim thread), or add "
+                "'// doceph-lint: allow(real-time-wait) <reason>'"))
 
         # Rule: fault-point
         for _verb, point in FAULT_CALL_RE.findall(code):

@@ -353,7 +353,7 @@ void BlueStore::start_aio_thread() {
     aio_stop_ = false;
   }
   aio_thread_ = sim::Thread(env_.keeper(), env_.stats(), "bstore_aio", domain_,
-                            [this] { aio_thread_loop(); }, /*daemon=*/true);
+                            [this] { aio_thread_loop(); });
 }
 
 void BlueStore::stop_aio_thread() {

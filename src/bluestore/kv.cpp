@@ -182,7 +182,7 @@ Status KvStore::mount() {
         s.index == 0 ? "bstore_kv_sync"
                      : "bstore_kv_sync." + std::to_string(s.index);
     s.thread = sim::Thread(env_.keeper(), env_.stats(), name, domain_,
-                           [this, &s] { sync_thread(s); }, /*daemon=*/true);
+                           [this, &s] { sync_thread(s); });
   }
   return Status::OK();
 }

@@ -37,7 +37,6 @@ BenchResult RadosBench::run(sim::CpuDomain* domain) {
   int remaining = cfg_.concurrency;
 
   {
-    auto hold = sim::TimeKeeper::AdvanceHold(env.keeper());
     std::vector<sim::Thread> writers;
     writers.reserve(static_cast<std::size_t>(cfg_.concurrency));
     for (int t = 0; t < cfg_.concurrency; ++t) {
@@ -64,7 +63,6 @@ BenchResult RadosBench::run(sim::CpuDomain* domain) {
             if (--remaining == 0) done_cv.notify_all();
           }));
     }
-    hold.release();
     {
       dbg::UniqueLock lk(done_mutex);
       done_cv.wait(lk, [&] {

@@ -235,8 +235,8 @@ void release(const void* instance) noexcept {
   }
 }
 
-void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* what) {
-  if (!enabled() || !in_sim_thread) return;
+void cond_wait_check(const void* wait_mutex, const char* what) {
+  if (!enabled()) return;
   bool extra = false;
   for (const HeldLock& h : t_held) extra |= h.instance != wait_mutex;
   if (!extra) return;
@@ -244,9 +244,10 @@ void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* wha
   std::unique_lock<std::mutex> lk(e.m);
   std::ostringstream os;
   os << "== doceph lockdep: SIM BLOCK WHILE HOLDING LOCKS ==\n"
-     << "thread: " << current_thread_name() << " (registered sim thread)\n"
+     << "thread: " << current_thread_name() << "\n"
      << "blocking in: " << what << " (mutex " << wait_mutex << ")\n"
-     << "the block parks this thread in simulated time, but it still holds:\n"
+     << "the block hands the run baton to other sim threads, but this thread "
+        "still holds:\n"
      << held_dump_locked(e)
      << "a thread contending on those locks blocks while holding the run "
         "baton, which deadlocks the simulation.\n";

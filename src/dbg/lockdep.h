@@ -90,12 +90,11 @@ void acquire_trylock(const void* instance, ClassId cls);
 /// (out-of-order release is fine).
 void release(const void* instance) noexcept;
 
-/// Check (c): about to block in the TimeKeeper; `wait_mutex` is the lock
-/// the block releases (a condvar's mutex) or null (a sleep).
-/// `in_sim_thread` is whether the caller is registered with a TimeKeeper
-/// (the block stalls simulated time only then). `what` names the condvar or
-/// keeper primitive for the report.
-void cond_wait_check(const void* wait_mutex, bool in_sim_thread, const char* what);
+/// Check (c): about to block in the TimeKeeper (a sim thread's wait, or a
+/// join that hands the run baton to other sim threads); `wait_mutex` is the
+/// lock the block releases (a condvar's mutex) or null (a sleep, a join).
+/// `what` names the condvar or keeper primitive for the report.
+void cond_wait_check(const void* wait_mutex, const char* what);
 
 /// One entry of a thread's held-lock stack.
 struct HeldLock {

@@ -279,8 +279,7 @@ void Messenger::start() {
     workers_.emplace_back(
         env_.keeper(), env_.stats(),
         "msgr-worker-" + std::to_string(i) + "@" + entity_, domain_,
-        [c = centers_[static_cast<std::size_t>(i)].get()] { c->run(); },
-        /*daemon=*/true);
+        [c = centers_[static_cast<std::size_t>(i)].get()] { c->run(); });
   }
 }
 

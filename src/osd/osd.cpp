@@ -144,12 +144,12 @@ Status OSD::init() {
   for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
     for (int i = 0; i < cfg_.op_threads; ++i) {
       op_workers_.emplace_back(env_.keeper(), env_.stats(), "tp_osd_tp", domain_,
-                               [this, lane] { op_worker(lane); }, /*daemon=*/true);
+                               [this, lane] { op_worker(lane); });
     }
   }
   ticker_ = sim::Thread(env_.keeper(), env_.stats(),
                         "osd-tick." + std::to_string(cfg_.id), domain_,
-                        [this] { tick_thread(); }, /*daemon=*/true);
+                        [this] { tick_thread(); });
   register_admin_commands();
   started_ = true;
   return Status::OK();

@@ -41,7 +41,7 @@ void DmaBatcher::start() {
     stopping_ = false;
   }
   thread_ = sim::Thread(env_.keeper(), env_.stats(), "dpu-dma-batch",
-                        &dpu_.cpu(), [this] { loop(); }, /*daemon=*/true);
+                        &dpu_.cpu(), [this] { loop(); });
   started_ = true;
 }
 

@@ -34,11 +34,11 @@ Status HostBackendService::start() {
     stopping_ = false;
   }
   pump_thread_ = sim::Thread(env_.keeper(), env_.stats(), "host-proxy-ch", &domain_,
-                             [this] { center_.run(); }, /*daemon=*/true);
+                             [this] { center_.run(); });
   for (int i = 0; i < cfg_.workers; ++i) {
     workers_.emplace_back(env_.keeper(), env_.stats(),
                           "host-worker-" + std::to_string(i), &domain_,
-                          [this] { worker_loop(); }, /*daemon=*/true);
+                          [this] { worker_loop(); });
   }
   started_ = true;
   return Status::OK();

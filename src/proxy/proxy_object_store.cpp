@@ -33,6 +33,8 @@ ProxyObjectStore::ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConf
                     .add_counter(l_dpu_throttle_slot, "throttle_slot")
                     .add_gauge(l_dpu_worker_queue_depth, "worker_queue_depth")
                     .add_gauge(l_dpu_worker_queue_depth_hw, "worker_queue_depth_hw")
+                    .add_counter(l_dpu_dma_transfer_ns, "dma_transfer_ns")
+                    .add_counter(l_dpu_host_write_ns, "host_write_ns")
                     .create()) {
   queues_.reserve(static_cast<std::size_t>(cfg_.write_workers));
   for (int i = 0; i < cfg_.write_workers; ++i) {
@@ -55,12 +57,11 @@ Status ProxyObjectStore::mount() {
   batcher_->start();
   stopping_ = false;
   pump_thread_ = sim::Thread(env_.keeper(), env_.stats(), "dpu-proxy-ch",
-                             &dpu_.cpu(), [this] { center_.run(); },
-                             /*daemon=*/true);
+                             &dpu_.cpu(), [this] { center_.run(); });
   for (int i = 0; i < cfg_.write_workers; ++i) {
     workers_.emplace_back(env_.keeper(), env_.stats(),
                           "dpu-dma-pipe-" + std::to_string(i), &dpu_.cpu(),
-                          [this, i] { write_worker(i); }, /*daemon=*/true);
+                          [this, i] { write_worker(i); });
   }
   mounted_ = true;
   // Verify the channel end-to-end.
@@ -392,14 +393,9 @@ void ProxyObjectStore::process_write(WriteReq req) {
     counters_->rec(l_dpu_write_lat, static_cast<std::uint64_t>(env_.now() - t_start));
     counters_->rec(l_dpu_dma_wait,
                    static_cast<std::uint64_t>(dma_wait) + serialization);
-
-    const dbg::LockGuard lk(bd_mutex_);
-    bd_.count++;
-    bd_.total_ns += static_cast<std::uint64_t>(env_.now() - t_start);
-    bd_.dma_ns += dma_transfer;
-    bd_.dma_wait_ns += static_cast<std::uint64_t>(dma_wait) + serialization;
-    bd_.host_write_ns += static_cast<std::uint64_t>(std::max<std::int64_t>(
-        reply.host_write_ns, 0));
+    counters_->inc(l_dpu_dma_transfer_ns, dma_transfer);
+    counters_->inc(l_dpu_host_write_ns, static_cast<std::uint64_t>(
+                                            std::max<std::int64_t>(reply.host_write_ns, 0)));
   }
 
   write_span.end(env_.now());
@@ -589,13 +585,15 @@ bool ProxyObjectStore::collection_exists(const os::coll_t& c) {
 }
 
 BreakdownSnapshot ProxyObjectStore::breakdown() const {
-  const dbg::LockGuard lk(bd_mutex_);
-  return bd_;
+  BreakdownSnapshot bd;
+  bd.count = counters_->get(l_dpu_writes);
+  bd.total_ns = counters_->hist(l_dpu_write_lat).sum;
+  bd.dma_ns = counters_->get(l_dpu_dma_transfer_ns);
+  bd.dma_wait_ns = counters_->hist(l_dpu_dma_wait).sum;
+  bd.host_write_ns = counters_->get(l_dpu_host_write_ns);
+  return bd;
 }
 
-void ProxyObjectStore::reset_breakdown() {
-  const dbg::LockGuard lk(bd_mutex_);
-  bd_ = BreakdownSnapshot{};
-}
+void ProxyObjectStore::reset_breakdown() { counters_->reset(); }
 
 }  // namespace doceph::proxy

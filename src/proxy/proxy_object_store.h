@@ -36,6 +36,8 @@ enum {
   l_dpu_throttle_slot,       ///< txns failed: slot_acquire_timeout expired
   l_dpu_worker_queue_depth,    ///< gauge: total queued write txns (all workers)
   l_dpu_worker_queue_depth_hw, ///< gauge: high-water of the above
+  l_dpu_dma_transfer_ns,     ///< Table 3 "DMA": summed engine transfer time
+  l_dpu_host_write_ns,       ///< Table 3 "host write": summed host commit time
   l_dpu_last,
 };
 
@@ -144,6 +146,8 @@ class ProxyObjectStore final : public os::ObjectStore {
   /// The proxy's comch RPC endpoint (batching diagnostics live on it).
   [[nodiscard]] RpcChannel& rpc() noexcept { return rpc_; }
 
+  /// The Table 3 sums, read from the "dpu" perf block; reset_breakdown()
+  /// zeroes that whole block.
   [[nodiscard]] BreakdownSnapshot breakdown() const;
   void reset_breakdown();
 
@@ -226,10 +230,6 @@ class ProxyObjectStore final : public os::ObjectStore {
   // worker under its own per-queue mutex (no single guarding capability).
   std::atomic<bool> stopping_{true};
   bool mounted_ = false;  // lifecycle thread only
-
-  // Table 3 accumulators.
-  mutable dbg::Mutex bd_mutex_{"proxy.breakdown"};
-  BreakdownSnapshot bd_ DOCEPH_GUARDED_BY(bd_mutex_);
 
   std::atomic<std::uint64_t> dma_bytes_{0};
   std::atomic<std::uint64_t> rpc_fallback_bytes_{0};

@@ -41,16 +41,11 @@ class Env {
 
   [[nodiscard]] Time now() const { return keeper_.now(); }
 
-  /// Spawn a named sim thread bound to a CPU domain (may be null).
-  /// Set `daemon` for service threads that park forever when idle.
-  Thread spawn(std::string name, CpuDomain* domain, std::function<void()> body,
-               bool daemon = false) {
-    return Thread(keeper_, stats_, std::move(name), domain, std::move(body), daemon);
+  /// Spawn a named sim thread bound to a CPU domain (may be null). From
+  /// outside the simulation it first runs at the next outside join.
+  Thread spawn(std::string name, CpuDomain* domain, std::function<void()> body) {
+    return Thread(keeper_, stats_, std::move(name), domain, std::move(body));
   }
-
-  /// Block clock advancement while constructing multiple threads/components
-  /// from an unregistered (external) thread.
-  [[nodiscard]] TimeKeeper::AdvanceHold hold() { return TimeKeeper::AdvanceHold(keeper_); }
 
   /// Derive a deterministic RNG for a component.
   [[nodiscard]] Rng make_rng(std::uint64_t salt) const {
@@ -59,7 +54,9 @@ class Env {
 
   /// Run `body` to completion on a registered sim thread and join. The
   /// entry point for drivers (tests, benches, examples): blocking sim
-  /// primitives are only legal on such threads.
+  /// primitives are only legal on such threads. The calling thread runs the
+  /// simulation until `body` returns; every other sim thread then stays
+  /// parked, and the clock stopped, until the next outside join.
   void run_on_sim_thread(const std::function<void()>& body,
                          const std::string& name = "driver") {
     Thread t(keeper_, stats_, name, nullptr, body);

@@ -7,8 +7,7 @@ namespace doceph::sim {
 EventScheduler::EventScheduler(TimeKeeper& tk, StatsRegistry& stats)
     : tk_(tk),
       wakeup_(tk, "sim.scheduler.wakeup"),
-      thread_(tk, stats, "sim-scheduler", /*domain=*/nullptr, [this] { run(); },
-              /*daemon=*/true) {}
+      thread_(tk, stats, "sim-scheduler", /*domain=*/nullptr, [this] { run(); }) {}
 
 EventScheduler::~EventScheduler() {  // NOLINT(bugprone-exception-escape): teardown joins the dispatch thread; a throw terminates, by design
   stop();

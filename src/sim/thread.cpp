@@ -8,11 +8,11 @@
 namespace doceph::sim {
 
 Thread::Thread(TimeKeeper& tk, StatsRegistry& stats, std::string name,
-               CpuDomain* domain, std::function<void()> body, bool daemon)
+               CpuDomain* domain, std::function<void()> body)
     : tk_(&tk) {
   auto thread_stats = stats.add(name, domain != nullptr ? domain->name() : "");
   rec_ = tk.spawn(std::move(name), ExecContext{&tk, domain, std::move(thread_stats)},
-                  std::move(body), daemon);
+                  std::move(body));
 }
 
 void Thread::join() {

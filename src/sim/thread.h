@@ -14,21 +14,21 @@ class CpuDomain;
 /// A named simulation thread: a fiber of the TimeKeeper (see there) that
 /// runs `body` with its own thread name, ThreadStats (allocated in the
 /// registry) and ambient ExecContext (keeper + CPU domain). The constructor
-/// queues the fiber for the run baton and returns at once, so simulated time
-/// cannot advance past the new thread's first wait; the thread first runs
-/// when the baton reaches it.
+/// queues the fiber for the run baton and returns at once; the thread first
+/// runs when the baton reaches it, which from an outside spawner means at
+/// the next outside join.
 ///
 /// join() waits for `body` to return: in *simulated* time when called from
 /// a sim thread of the same keeper (so the clock keeps advancing while the
-/// target winds down), in real time from anywhere else. Joins in the
-/// destructor. `daemon` marks service threads that park forever when idle
-/// (the keeper reports a deadlock only when a non-daemon is parked too).
+/// target winds down); from anywhere else the caller's OS thread runs the
+/// simulation until `body` returns, and nothing simulated runs after that
+/// until the next outside join. Joins in the destructor.
 class Thread {
  public:
   Thread() = default;
 
   Thread(TimeKeeper& tk, StatsRegistry& stats, std::string name, CpuDomain* domain,
-         std::function<void()> body, bool daemon = false);
+         std::function<void()> body);
 
   Thread(Thread&& other) noexcept
       : tk_(other.tk_), rec_(std::exchange(other.rec_, nullptr)) {}

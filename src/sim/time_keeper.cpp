@@ -4,6 +4,9 @@
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <cassert>
@@ -84,13 +87,14 @@ class FiberStack {
 
 }  // namespace
 
-/// One execution context on the engine thread: the engine's own, or a sim
-/// thread's. While a context is switched out its fiber-local state (thread
-/// name, ExecContext, lockdep held stack) is parked here; while it runs,
-/// the OS thread's thread-locals hold it and these fields hold leftovers.
+/// One execution context on the driver's thread: the driver's own, or a
+/// sim thread's. While a context is switched out its fiber-local state
+/// (thread name, ExecContext, lockdep held stack) is parked here; while it
+/// runs, the OS thread's thread-locals hold it and these fields hold
+/// leftovers.
 struct TimeKeeper::Fiber {
   ucontext_t uc{};
-  ThreadRec* rec = nullptr;  // null for the engine
+  ThreadRec* rec = nullptr;  // null for the driver
   std::string name;
   ExecContext exec;
   dbg::lockdep::HeldStack held;
@@ -104,7 +108,6 @@ struct TimeKeeper::Fiber {
 struct TimeKeeper::ThreadRec {
   std::string name;
   std::shared_ptr<ThreadStats> stats;
-  bool daemon = false;
   bool blocked = false;
   Time deadline = kTimeInfinity;
   bool notified = false;
@@ -115,19 +118,28 @@ struct TimeKeeper::ThreadRec {
   Fiber fiber;
 };
 
-TimeKeeper::TimeKeeper(Mode /*mode*/)
-    : engine_thread_([this] { engine_loop(); }), watchdog_([this] { watchdog_loop(); }) {}
+TimeKeeper::TimeKeeper(Mode /*mode*/) : watchdog_([this] { watchdog_loop(); }) {
+#ifdef __GLIBC__
+  // Fibers allocate on the driver's thread, usually main and so glibc's brk
+  // heap. glibc's default thresholds are dynamic: after freeing a payload
+  // buffer of N bytes it trims that heap whenever more than 2N lies free at
+  // its top, and the next buffer faults the pages back in. A 1 MB write
+  // workload took 1.7x the page faults it took with the fibers on a second
+  // thread's heap, for the same peak RSS. Fixed thresholds at the values
+  // the dynamic scheme caps at keep payload buffers on the heap and its top
+  // resident.
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+}
 
-TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stops the engine and the watchdog; a throw terminates, by design
+TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stops the watchdog; a throw terminates, by design
   {
     const dbg::LockGuard lock(mutex_);
     assert(threads_.empty() && "threads still registered at TimeKeeper teardown");
-    engine_stop_ = true;
-    engine_cv_.notify_all();
     watchdog_stop_ = true;
     watchdog_cv_.notify_all();
   }
-  engine_thread_.join();
   watchdog_.join();
 }
 
@@ -137,11 +149,10 @@ Time TimeKeeper::now() const {
 }
 
 TimeKeeper::ThreadRec* TimeKeeper::spawn(std::string name, ExecContext ctx,
-                                         std::function<void()> body, bool daemon) {
+                                         std::function<void()> body) {
   auto rec = std::make_unique<ThreadRec>();
   rec->name = name;
   rec->stats = ctx.stats;
-  rec->daemon = daemon;
   rec->body = std::move(body);
   rec->stack = std::make_unique<FiberStack>();
   Fiber& f = rec->fiber;
@@ -164,9 +175,6 @@ TimeKeeper::ThreadRec* TimeKeeper::spawn(std::string name, ExecContext ctx,
   threads_.push_back(rec.get());
   ready_.push_back(rec.get());
   peak_threads_ = std::max(peak_threads_, threads_.size());
-  ++epoch_;
-  parked_suspect_ = false;
-  resume_locked();
   return rec.release();
 }
 
@@ -182,10 +190,9 @@ void TimeKeeper::fiber_main() noexcept {
   for (ThreadRec* joiner : rec.joiners) tk.notify_locked(*joiner);
   rec.joiners.clear();
   tk.threads_.erase(std::find(tk.threads_.begin(), tk.threads_.end(), &rec));
-  ++tk.epoch_;
-  tk.parked_suspect_ = false;
   tk.holder_ = nullptr;
-  tk.pass_baton_locked();
+  // The driver's target hands control straight back to the driver.
+  if (&rec != tk.target_) tk.pass_baton_locked();
   tk.zombie_ = &rec;
   ThreadRec* next = tk.holder_;
   lk.unlock();
@@ -196,14 +203,13 @@ void TimeKeeper::fiber_main() noexcept {
 void TimeKeeper::join(ThreadRec* rec) {
   {
     dbg::UniqueLock lk(mutex_);
+    if (!rec->finished) {
+      lk.unlock();
+      dbg::lockdep::cond_wait_check(nullptr, "sim::Thread::join");
+      lk.lock();
+    }
     if (current_thread_registered()) {
       ThreadRec& self = current_rec();
-      if (!rec->finished) {
-        lk.unlock();
-        dbg::lockdep::cond_wait_check(nullptr, /*in_sim_thread=*/true,
-                                      "sim::Thread::join");
-        lk.lock();
-      }
       while (!rec->finished) {
         rec->joiners.push_back(&self);
         (void)wait_locked(lk, self, kTimeInfinity);
@@ -211,15 +217,72 @@ void TimeKeeper::join(ThreadRec* rec) {
         std::erase(rec->joiners, &self);
       }
     } else {
-      finished_cv_.wait(lk.inner(), [&] { return rec->finished; });
+      drive_locked(lk, *rec);
     }
   }
   delete rec;
 }
 
+void TimeKeeper::drive_locked(dbg::UniqueLock& lk, ThreadRec& target) {
+  if (target.finished) return;
+  assert(driver_ == nullptr && "only one outside thread may drive a keeper at a time");
+  // The caller may itself be a sim thread of another keeper.
+  TimeKeeper* const outer_keeper = t_keeper;
+  void* const outer_rec = t_rec;
+  Fiber self;
+#ifdef DOCEPH_FIBER_ASAN
+  if (outer_rec != nullptr) {
+    const Fiber& outer = static_cast<ThreadRec*>(outer_rec)->fiber;
+    self.stack_bottom = outer.stack_bottom;
+    self.stack_bytes = outer.stack_bytes;
+  } else {
+    pthread_attr_t attr;
+    if (pthread_getattr_np(pthread_self(), &attr) == 0) {
+      (void)pthread_attr_getstack(&attr, &self.stack_bottom, &self.stack_bytes);
+      pthread_attr_destroy(&attr);
+    }
+  }
+#endif
+#ifdef DOCEPH_FIBER_TSAN
+  self.tsan_fiber = __tsan_get_current_fiber();
+#endif
+  driver_ = &self;
+  target_ = &target;
+  while (!target.finished) {
+    pass_baton_locked();
+    if (holder_ == nullptr) {
+      // Nothing runnable, nothing due, target unfinished: a deadlock. Only
+      // sim threads wake sim threads, and every one of them is parked.
+      const std::string dump = state_dump_locked();
+      if (!deadlock_handler_) {
+        std::fprintf(stderr,
+                     "FATAL: simulation deadlock — all %zu threads blocked forever\n%s",
+                     threads_.size(), dump.c_str());
+        std::abort();
+      }
+      // Run the handler without the lock (it may query the keeper), then
+      // wake every blocked thread so shutdown predicates can unwind.
+      auto handler = deadlock_handler_;
+      lk.unlock();
+      handler(dump);
+      lk.lock();
+      for (auto* rec : threads_) notify_locked(*rec);
+      continue;
+    }
+    ThreadRec* next = holder_;
+    lk.unlock();
+    switch_to(self, next);
+    lk.lock();
+  }
+  target_ = nullptr;
+  driver_ = nullptr;
+  t_keeper = outer_keeper;
+  t_rec = outer_rec;
+}
+
 void TimeKeeper::switch_to(Fiber& from, ThreadRec* to,
                            [[maybe_unused]] bool from_exits) {
-  Fiber& next = to != nullptr ? to->fiber : *engine_;
+  Fiber& next = to != nullptr ? to->fiber : *driver_;
   // Park the outgoing context's fiber-local state, install the incoming
   // one's (each swap trades the running context's values for its slot's).
   for (Fiber* f : {&from, &next}) {
@@ -252,31 +315,6 @@ void TimeKeeper::switched_in([[maybe_unused]] Fiber& self) {
 #endif
   const dbg::LockGuard lock(mutex_);
   zombie->finished = true;
-  finished_cv_.notify_all();
-}
-
-void TimeKeeper::engine_loop() {
-  Fiber self;
-#ifdef DOCEPH_FIBER_ASAN
-  pthread_attr_t attr;
-  if (pthread_getattr_np(pthread_self(), &attr) == 0) {
-    (void)pthread_attr_getstack(&attr, &self.stack_bottom, &self.stack_bytes);
-    pthread_attr_destroy(&attr);
-  }
-#endif
-#ifdef DOCEPH_FIBER_TSAN
-  self.tsan_fiber = __tsan_get_current_fiber();
-#endif
-  engine_ = &self;
-  dbg::UniqueLock lk(mutex_);
-  while (true) {
-    engine_cv_.wait(lk.inner(), [&] { return holder_ != nullptr || engine_stop_; });
-    if (holder_ == nullptr) return;  // stopping, and nothing left to run
-    ThreadRec* next = holder_;
-    lk.unlock();
-    switch_to(self, next);
-    lk.lock();
-  }
 }
 
 const void* TimeKeeper::current_thread() noexcept { return t_rec; }
@@ -314,8 +352,7 @@ void TimeKeeper::sleep_for(Duration d) { sleep_until(now() + std::max<Duration>(
 
 void TimeKeeper::sleep_until(Time t) {
   ThreadRec& rec = current_rec();
-  dbg::lockdep::cond_wait_check(nullptr, /*in_sim_thread=*/true,
-                                "sim::TimeKeeper::sleep_until");
+  dbg::lockdep::cond_wait_check(nullptr, "sim::TimeKeeper::sleep_until");
   dbg::UniqueLock lk(mutex_);
   (void)wait_locked(lk, rec, t);
 }
@@ -345,38 +382,15 @@ void TimeKeeper::notify_locked(ThreadRec& rec) {
   rec.blocked = false;
   rec.notified = true;
   ready_.push_back(&rec);
-  ++epoch_;
-  parked_suspect_ = false;
-  resume_locked();  // a no-op unless notified from outside the sim
 }
 
 void TimeKeeper::pass_baton_locked() {
   assert(holder_ == nullptr);
   if (ready_.empty()) advance_locked();
-  if (ready_.empty()) return;  // parked: the next notify or spawn resumes
+  if (ready_.empty()) return;  // nothing due: the driver decides
   holder_ = ready_.front();
   ready_.pop_front();
   ++handoffs_;
-}
-
-void TimeKeeper::resume_locked() {
-  if (holder_ != nullptr) return;
-  pass_baton_locked();
-  if (holder_ != nullptr) engine_cv_.notify_one();
-}
-
-void TimeKeeper::hold_advance() {
-  const dbg::LockGuard lock(mutex_);
-  ++holds_;
-  ++epoch_;
-  parked_suspect_ = false;
-}
-
-void TimeKeeper::release_advance() {
-  const dbg::LockGuard lock(mutex_);
-  --holds_;
-  ++epoch_;
-  if (holds_ == 0) resume_locked();
 }
 
 void TimeKeeper::advance_locked() {
@@ -386,28 +400,10 @@ void TimeKeeper::advance_locked() {
   for (const auto* rec : threads_)
     if (rec->blocked) min_deadline = std::min(min_deadline, rec->deadline);
 
-  if (holds_ > 0 || min_deadline == kTimeInfinity) {
-    // Either an outside thread holds advancement — if every sim thread is
-    // blocked, someone had better release that hold, so a sim thread
-    // blocking under its own hold (a bug) gets reported instead of hanging
-    // silently — or nothing is scheduled. If only daemon service threads
-    // are parked, the system is quiescent; an outside notify will resume
-    // it. A parked non-daemon is *suspicious* — but an outside thread may
-    // be about to spawn or notify, so hand the case to the watchdog rather
-    // than deciding now.
-    bool any_nondaemon = false;
-    for (const auto* rec : threads_) any_nondaemon |= !rec->daemon;
-    if (any_nondaemon) {
-      parked_suspect_ = true;
-      watchdog_cv_.notify_all();
-    }
-    return;
-  }
+  if (min_deadline == kTimeInfinity) return;
 
   now_ = min_deadline;
   ++advances_;
-  ++epoch_;
-  parked_suspect_ = false;
   for (auto* rec : threads_) {  // registration order: deterministic ties
     if (rec->blocked && rec->deadline <= now_) {
       rec->blocked = false;  // timeout wake: notified stays false
@@ -418,65 +414,33 @@ void TimeKeeper::advance_locked() {
 
 void TimeKeeper::watchdog_loop() {
   dbg::UniqueLock lk(mutex_);
-  // Run the handler without the lock: it may query the keeper.
-  const auto call_handler = [&](const std::string& dump) {
-    auto handler = deadlock_handler_;
-    lk.unlock();
-    handler(dump);
-    lk.lock();
-  };
   std::uint64_t stall_reported_at = 0;  // handoffs_ at the last stall report
   while (!watchdog_stop_) {
-    if (!parked_suspect_) {
-      // Stall sampling: a holder that kept the baton across a whole grace
-      // period is blocked outside the keeper (or spinning). Any wake before
-      // the period ends restarts the sample.
-      const std::uint64_t handoffs_at = handoffs_;
-      if (watchdog_cv_.wait_for(lk.inner(), grace_) == std::cv_status::no_timeout)
-        continue;
-      if (holder_ == nullptr || handoffs_ != handoffs_at ||
-          stall_reported_at == handoffs_)
-        continue;
-      stall_reported_at = handoffs_;  // report each stall once
-      const std::string dump = state_dump_locked();
-      if (deadlock_handler_) {
-        call_handler(dump);
-        continue;
-      }
-      std::fprintf(stderr,
-                   "WARNING: sim thread '%s' has held the baton for %lld ms "
-                   "without handing off — blocked outside the keeper (bare "
-                   "mutex, real-time wait)?\n%s",
-                   holder_->name.c_str(), static_cast<long long>(grace_.count()),
-                   dump.c_str());
+    // A holder that kept the baton across a whole grace period is blocked
+    // outside the keeper (or spinning). Any wake before the period ends
+    // restarts the sample.
+    const std::uint64_t handoffs_at = handoffs_;
+    if (watchdog_cv_.wait_for(lk.inner(), grace_) == std::cv_status::no_timeout)
       continue;
-    }
-    const std::uint64_t epoch_at_park = epoch_;
-    watchdog_cv_.wait_for(lk.inner(), grace_);
-    if (watchdog_stop_) break;
-    if (!parked_suspect_ || epoch_ != epoch_at_park) continue;  // progress happened
-
+    if (holder_ == nullptr || handoffs_ != handoffs_at ||
+        stall_reported_at == handoffs_)
+      continue;
+    stall_reported_at = handoffs_;  // report each stall once
     const std::string dump = state_dump_locked();
-    parked_suspect_ = false;
-    if (holds_ > 0) {
-      // Could be a slow (real-time) external constructor rather than a
-      // deadlock; warn loudly but keep waiting.
-      std::fprintf(stderr,
-                   "WARNING: all sim threads blocked while an AdvanceHold is "
-                   "held — possible hold-while-blocking bug\n%s",
-                   dump.c_str());
-      continue;
-    }
     if (deadlock_handler_) {
-      // Then wake every blocked thread so shutdown predicates can unwind.
-      call_handler(dump);
-      for (auto* rec : threads_) notify_locked(*rec);
+      // Run the handler without the lock: it may query the keeper.
+      auto handler = deadlock_handler_;
+      lk.unlock();
+      handler(dump);
+      lk.lock();
       continue;
     }
     std::fprintf(stderr,
-                 "FATAL: simulation deadlock — all %zu threads blocked forever\n%s",
-                 threads_.size(), dump.c_str());
-    std::abort();
+                 "WARNING: sim thread '%s' has held the baton for %lld ms "
+                 "without handing off — blocked outside the keeper (bare "
+                 "mutex, real-time wait)?\n%s",
+                 holder_->name.c_str(), static_cast<long long>(grace_.count()),
+                 dump.c_str());
   }
 }
 
@@ -510,7 +474,7 @@ void CondVar::wait(std::unique_lock<std::mutex>& user_lock) {
 bool CondVar::wait_until(std::unique_lock<std::mutex>& user_lock, Time deadline,
                          const void* tracked_mutex, const char* what) {
   TimeKeeper::ThreadRec& rec = tk_.current_rec();
-  dbg::lockdep::cond_wait_check(tracked_mutex, /*in_sim_thread=*/true, what);
+  dbg::lockdep::cond_wait_check(tracked_mutex, what);
   dbg::UniqueLock lk(tk_.mutex_);
   waiters_.push_back(&rec);
   user_lock.unlock();

@@ -23,10 +23,9 @@ class CondVar;
 /// The simulation clock and thread coordinator.
 ///
 /// Every sim thread (sim::Thread) is a fiber of the keeper: a stackful
-/// ucontext coroutine, and all of them run on one keeper-owned *engine* OS
-/// thread. Sim threads perform ALL blocking through keeper primitives
-/// (sleep_* or sim::CondVar) and take turns: exactly one of them runs at a
-/// time, the holder of the keeper's run *baton*.
+/// ucontext coroutine. Sim threads perform ALL blocking through keeper
+/// primitives (sleep_* or sim::CondVar) and take turns: exactly one of them
+/// runs at a time, the holder of the keeper's run *baton*.
 ///
 ///  - A blocking holder hands the baton to the head of a FIFO run queue and
 ///    switches straight into that fiber (one swapcontext, no OS wakeup).
@@ -34,16 +33,22 @@ class CondVar;
 ///    race between threads.
 ///  - When the queue is empty and every sim thread is blocked, the keeper
 ///    advances the clock to the earliest wake deadline and queues the
-///    threads due then in registration (spawn) order. If nothing is due,
-///    the holder switches back to the engine, which parks until an outside
-///    thread (a test's main, bring-up code, the watchdog) spawns or
-///    notifies.
+///    threads due then in registration (spawn) order.
+///
+/// The fibers run on the OS thread of the *driver*: the outside thread (a
+/// test's main, a bench, an example) that joins a sim thread, as
+/// Env::run_on_sim_thread does. That join switches into the run queue and
+/// returns once its target has finished, leaving every other fiber parked;
+/// outside the join nothing simulated runs, so a spawn or notify from
+/// outside only queues its thread, and the clock stands still until the
+/// next join. If the run queue empties with no wake deadline left while the
+/// target is unfinished, the simulation has deadlocked, and the join
+/// reports it at once. One outside thread drives a keeper at a time.
 ///
 /// A simulated minute of cluster traffic therefore finishes in wall
 /// milliseconds, and the interleaving of sim threads is a function of the
 /// program and its seed alone: same-seed runs are byte-identical on any
-/// core count. Only threads outside the keeper (a test's main, bring-up
-/// code) still run on OS scheduling alongside the engine.
+/// core count.
 ///
 /// Per-thread state that code reads as thread-local — the thread name, the
 /// ExecContext, lockdep's held-lock stack and the keeper's own record — is
@@ -52,7 +57,7 @@ class CondVar;
 /// sim thread may block inside a catch handler or while unwinding.
 ///
 /// Discipline: a sim thread must never block on a bare std:: primitive for
-/// unbounded time — it keeps the baton (and the engine thread) while
+/// unbounded time — it keeps the baton (and the driver's OS thread) while
 /// blocked, which stalls the whole simulation. std::mutex critical sections
 /// are fine (they take zero simulated time) as long as no lock is held
 /// across a keeper block; lockdep check (c) enforces that for tracked
@@ -98,68 +103,42 @@ class TimeKeeper {
   [[nodiscard]] SelfStats self_stats() const;
 
   /// Invoked when the simulation wedges, with a state dump:
-  ///  - deadlock: every sim thread blocked with no wake deadline, at least
-  ///    one of them a non-daemon, and no state change for the grace period
-  ///    (an outside thread — e.g. a test's main — may legitimately be about
-  ///    to spawn or notify, so the check is watchdog-based rather than
-  ///    instantaneous). All blocked threads are woken after the handler
-  ///    returns so predicate loops can unwind;
-  ///  - stall: the baton holder has not handed off for the grace period,
-  ///    typically because it is blocked outside the keeper (a bare mutex, a
-  ///    real-time wait). Nothing is woken; the holder resumes on its own
-  ///    once whatever it waits for is released.
+  ///  - deadlock: a driver's join finds every sim thread blocked with no
+  ///    wake deadline while its target is unfinished. Reported on the
+  ///    driver's thread the moment it happens; all blocked threads are
+  ///    woken after the handler returns so predicate loops can unwind;
+  ///  - stall (from the watchdog thread): the baton holder has not handed
+  ///    off for the grace period, typically because it is blocked outside
+  ///    the keeper (a bare mutex, a real-time wait). Nothing is woken; the
+  ///    holder resumes on its own once whatever it waits for is released.
   /// Default: a deadlock prints the dump and aborts; a stall prints a
   /// warning with the dump and keeps waiting. Tests override this to assert
   /// on detection; the handler should set shutdown predicates.
   void set_deadlock_handler(std::function<void(const std::string&)> h);
 
-  /// Grace period (real time) before a deadlock or stall is reported.
+  /// Grace period (real time) before a stall is reported.
   void set_deadlock_grace(std::chrono::milliseconds grace);
-
-  /// While any AdvanceHold is alive the clock will not advance, even if all
-  /// sim threads are blocked. Outside threads (a test's main, cluster
-  /// bring-up code) take one while spawning/configuring so the simulation
-  /// cannot run ahead between two constructions; drop it before joining or
-  /// waiting for results.
-  class AdvanceHold {
-   public:
-    explicit AdvanceHold(TimeKeeper& tk) : tk_(&tk) { tk_->hold_advance(); }
-    ~AdvanceHold() { release(); }  // NOLINT(bugprone-exception-escape): release takes the keeper lock; a throw terminates, by design
-    AdvanceHold(AdvanceHold&& o) noexcept : tk_(o.tk_) { o.tk_ = nullptr; }
-    AdvanceHold& operator=(AdvanceHold&&) = delete;
-    AdvanceHold(const AdvanceHold&) = delete;
-    AdvanceHold& operator=(const AdvanceHold&) = delete;
-
-    /// Early release (idempotent).
-    void release() {
-      if (tk_ != nullptr) {
-        tk_->release_advance();
-        tk_ = nullptr;
-      }
-    }
-
-   private:
-    TimeKeeper* tk_;
-  };
 
  private:
   friend class CondVar;
   friend class Thread;
 
-  struct Fiber;      // an execution context on the engine thread
+  struct Fiber;      // an execution context: a sim thread's, or the driver's
   struct ThreadRec;  // a sim thread: its fiber plus its run state
 
   /// sim::Thread's half of the keeper. spawn() creates a fiber that runs
   /// `body` with `ctx` installed and queues it for the baton; the fiber
-  /// unregisters when `body` returns. `daemon` marks service threads that
-  /// park forever waiting for work (event loops, thread pools, the
-  /// scheduler): when every sim thread is blocked without a deadline, the
-  /// keeper reports a deadlock only if a non-daemon is among them.
-  ThreadRec* spawn(std::string name, ExecContext ctx, std::function<void()> body,
-                   bool daemon);
-  /// Waits until `rec` has finished (in simulated time from a sim thread of
-  /// this keeper, in real time from anywhere else), then frees it.
+  /// unregisters when `body` returns.
+  ThreadRec* spawn(std::string name, ExecContext ctx, std::function<void()> body);
+  /// Waits until `rec` has finished, then frees it: in simulated time from
+  /// a sim thread of this keeper; from anywhere else by driving the
+  /// simulation on the caller's thread until `rec` finishes.
   void join(ThreadRec* rec);
+
+  /// The outside half of join(): run the queue on this thread until
+  /// `target` has finished, reporting a deadlock if the queue runs dry.
+  /// Requires `lk` to hold mutex_.
+  void drive_locked(dbg::UniqueLock& lk, ThreadRec& target);
 
   /// Returns the caller's record; requires it to be a sim thread of *this*.
   ThreadRec& current_rec();
@@ -174,25 +153,19 @@ class TimeKeeper {
   void notify_locked(ThreadRec& rec);
 
   /// The baton is free: give it to the head of the run queue; if the queue
-  /// is empty (every sim thread blocked), advance the clock first. Requires
-  /// mutex_ held.
+  /// is empty (every sim thread blocked), advance the clock first. Leaves
+  /// the baton free when nothing is due. Requires mutex_ held.
   void pass_baton_locked();
 
-  /// pass_baton_locked() for callers outside the engine thread (spawners,
-  /// notifiers, AdvanceHold releases): if the baton is free, grant it and
-  /// wake the parked engine to run the new holder. Requires mutex_ held.
-  void resume_locked();
-
   /// Every sim thread is blocked: advance the clock to the earliest
-  /// deadline and queue the threads due then, in registration order. If
-  /// nothing is due (or an AdvanceHold is alive), arm the deadlock watchdog
-  /// instead. Requires mutex_ held.
+  /// deadline and queue the threads due then, in registration order (a
+  /// no-op when nothing is due). Requires mutex_ held.
   void advance_locked();
 
-  /// Leave the running context `from` for `to` (the engine when null):
-  /// swaps the fiber-local state and the ucontext. Runs on the engine thread
-  /// with mutex_ released; returns when something switches back to `from`.
-  /// `from_exits`: `from` is a finished fiber and never resumes.
+  /// Leave the running context `from` for `to` (the driver when null):
+  /// swaps the fiber-local state and the ucontext. Runs on the driver's
+  /// thread with mutex_ released; returns when something switches back to
+  /// `from`. `from_exits`: `from` is a finished fiber and never resumes.
   void switch_to(Fiber& from, ThreadRec* to, bool from_exits = false);
   /// First code a context runs after a switch lands in it: finishes the
   /// sanitizer switch and reaps a fiber that exited on the way here.
@@ -201,10 +174,7 @@ class TimeKeeper {
 
   [[nodiscard]] std::string state_dump_locked() const;
 
-  void engine_loop();
   void watchdog_loop();
-  void hold_advance();
-  void release_advance();
 
   // Lockdep-tracked: the keeper's mutex is the terminal node of the lock
   // hierarchy — every notify/now() reaches it, so nothing may be acquired
@@ -220,31 +190,20 @@ class TimeKeeper {
   std::size_t peak_threads_ = 0;
   std::function<void(const std::string&)> deadlock_handler_;
 
-  // Engine. `engine_cv_` wakes it when an outside thread grants the baton
-  // while it is parked; `finished_cv_` wakes outside joiners. `engine_` and
-  // `zombie_` are touched only on the engine thread: the engine's own
-  // context, and a fiber that exited and still needs reaping by whichever
+  // Driver. `driver_` is the context of the outside thread inside
+  // drive_locked() (null when none is), `target_` the thread it waits for.
+  // `zombie_` is a fiber that exited and still needs reaping by whichever
   // context runs next (a fiber cannot free the stack it is running on).
-  bool engine_stop_ = false;
-  std::condition_variable engine_cv_;    // real; paired with mutex_
-  std::condition_variable finished_cv_;  // real; paired with mutex_
-  Fiber* engine_ = nullptr;
+  Fiber* driver_ = nullptr;
+  ThreadRec* target_ = nullptr;
   ThreadRec* zombie_ = nullptr;
 
-  // Watchdog. Deadlock: `epoch_` bumps on every state change
-  // (spawn/exit/notify/advance). When the system parks with a non-daemon
-  // blocked forever, the watchdog samples the epoch; if it is unchanged
-  // after the grace period, the deadlock path fires. Stall: the watchdog
-  // samples handoffs_ every grace period and reports a baton holder that
-  // kept it across a whole period.
-  std::uint64_t epoch_ = 0;
-  int holds_ = 0;
-  bool parked_suspect_ = false;
+  // Watchdog: samples handoffs_ every grace period and reports a baton
+  // holder that kept the baton across a whole period.
   std::chrono::milliseconds grace_{2000};
   bool watchdog_stop_ = false;
   std::condition_variable watchdog_cv_;  // real; paired with mutex_
-  // Declared last: both threads use every member above.
-  std::thread engine_thread_;
+  // Declared last: the watchdog uses every member above.
   std::thread watchdog_;
 };
 

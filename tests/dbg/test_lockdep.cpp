@@ -256,14 +256,20 @@ TEST_F(LockdepTest, CondWaitHoldingOnlyItsMutexIsFine) {
   EXPECT_TRUE(rec.seen.empty());
 }
 
-TEST_F(LockdepTest, CondWaitCheckIgnoresUnregisteredThreads) {
+TEST_F(LockdepTest, OutsideJoinWhileHoldingLockReported) {
   Recorder rec;
-  Mutex other("t.cwunreg.other");
-  const LockGuard l(other);
-  // A thread not registered with a TimeKeeper blocks in real time; parking
-  // it does not stall simulated time, so no violation.
-  ld::cond_wait_check(/*wait_mutex=*/nullptr, /*in_sim_thread=*/false, "t.cwunreg");
-  EXPECT_TRUE(rec.seen.empty());
+  sim::TimeKeeper tk(sim::TimeKeeper::Mode::virtual_time);
+  Mutex held("t.join.held");
+  {
+    // An outside join runs the simulation on this thread, so a sim thread
+    // that took `held` would deadlock against it.
+    const LockGuard l(held);
+    run_on_sim_thread(tk, [&] { tk.sleep_for(1000); });
+  }
+  ASSERT_EQ(rec.seen.size(), 1u);
+  EXPECT_EQ(rec.seen[0].kind, ld::Violation::Kind::cond_wait_holding);
+  EXPECT_NE(rec.seen[0].report.find("t.join.held"), std::string::npos);
+  EXPECT_NE(rec.seen[0].report.find("sim::Thread::join"), std::string::npos);
 }
 
 TEST_F(LockdepTest, TryLockInReverseOrderIsAllowed) {

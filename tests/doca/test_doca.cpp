@@ -195,7 +195,7 @@ TEST(CommChannel, HandlerDelivery) {
   auto [host, dpu] = CommChannel::create_pair(env, link);
   event::EventCenter center(env);
   Thread pump(env.keeper(), env.stats(), "pump", nullptr,
-              [&] { center.run(); }, /*daemon=*/true);
+              [&] { center.run(); });
   std::mutex m;
   CondVar cv(env.keeper());
   std::vector<std::string> got;

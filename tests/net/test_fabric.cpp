@@ -40,8 +40,8 @@ struct NetFixture {
                       StackModel stack = {})
       : a(fabric.add_node("a", nic_a, stack)),
         b(fabric.add_node("b", nic_b, stack)),
-        la(env.keeper(), env.stats(), "loop-a", nullptr, [this] { ca.run(); }, true),
-        lb(env.keeper(), env.stats(), "loop-b", nullptr, [this] { cb.run(); }, true) {}
+        la(env.keeper(), env.stats(), "loop-a", nullptr, [this] { ca.run(); }),
+        lb(env.keeper(), env.stats(), "loop-b", nullptr, [this] { cb.run(); }) {}
 
   ~NetFixture() {  // NOLINT(bugprone-exception-escape): test teardown; a throw fails the binary loudly, which is fine
     ca.stop();
@@ -296,7 +296,6 @@ TEST(Fabric, TwoStreamsShareNicBandwidth) {
   f.start_sink(7000);
   f.start_sink(7001);
   constexpr std::size_t kBytes = 1 << 20;
-  auto hold = f.env.hold();
   Thread d1 = f.env.spawn("d1", nullptr, [&] {
     auto r = f.fabric.connect(f.a, Address{f.b.id(), 7000});
     BufferList bl;
@@ -310,7 +309,6 @@ TEST(Fabric, TwoStreamsShareNicBandwidth) {
     (void)(*r)->send(bl);
   });
   Thread waiter = f.env.spawn("waiter", nullptr, [&] { f.wait_received(2 * kBytes); });
-  hold.release();
   d1.join();
   d2.join();
   waiter.join();

@@ -47,7 +47,7 @@ TEST_P(NetDelayJitterSweep, ByteStreamOrderSurvivesJitter) {
   // a raw pointer, so the socket does not own its own handler.
   SocketRef server;
   event::EventCenter center(env);
-  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
+  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); });
 
   fault::FaultSpec jitter;
   jitter.probability = param.p;

@@ -47,7 +47,7 @@ TEST_P(FabricSweep, SingleChunkDeliveryTimeAndIntegrity) {
   // a raw pointer, so the socket does not own its own handler.
   SocketRef server;
   event::EventCenter center(env);
-  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
+  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); });
 
   std::mutex m;
   CondVar cv(env.keeper());
@@ -95,7 +95,7 @@ TEST(FabricParams, AsymmetricLatencyUsesSenderSide) {
   // a raw pointer, so the socket does not own its own handler.
   SocketRef server;
   event::EventCenter center(env);
-  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
+  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); });
   std::mutex m;
   CondVar cv(env.keeper());
   Time delivered = -1;
@@ -132,7 +132,7 @@ TEST(FabricParams, ManySmallMessagesKeepOrder) {
   // a raw pointer, so the socket does not own its own handler.
   SocketRef server;
   event::EventCenter center(env);
-  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); }, true);
+  Thread loop(env.keeper(), env.stats(), "loop", nullptr, [&] { center.run(); });
   std::mutex m;
   CondVar cv(env.keeper());
   std::string stream;

@@ -40,9 +40,9 @@ struct BatchRpcFixture {
     server->set_batch_config(batch);
     client->set_batch_config(batch);
     st = Thread(env.keeper(), env.stats(), "rpc-server", nullptr,
-                [this] { sc.run(); }, true);
+                [this] { sc.run(); });
     ct = Thread(env.keeper(), env.stats(), "rpc-client", nullptr,
-                [this] { cc.run(); }, true);
+                [this] { cc.run(); });
   }
   ~BatchRpcFixture() {  // NOLINT(bugprone-exception-escape): test teardown
     sc.stop();

@@ -26,10 +26,8 @@ struct RpcFixture {
     dpu_end = pair.second;
     server = std::make_unique<RpcChannel>(env, host_end);
     client = std::make_unique<RpcChannel>(env, dpu_end);
-    st = Thread(env.keeper(), env.stats(), "rpc-server", nullptr, [this] { sc.run(); },
-                true);
-    ct = Thread(env.keeper(), env.stats(), "rpc-client", nullptr, [this] { cc.run(); },
-                true);
+    st = Thread(env.keeper(), env.stats(), "rpc-server", nullptr, [this] { sc.run(); });
+    ct = Thread(env.keeper(), env.stats(), "rpc-client", nullptr, [this] { cc.run(); });
   }
   ~RpcFixture() {  // NOLINT(bugprone-exception-escape): test teardown; a throw fails the binary loudly, which is fine
     sc.stop();

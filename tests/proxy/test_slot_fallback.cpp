@@ -64,7 +64,6 @@ TEST(SlotPool, ManyContendersAllServed) {
   SlotPool pool(env, 2, 64);
   std::atomic<int> served{0};
   run_sim(env, [&] {
-    auto hold = TimeKeeper::AdvanceHold(env.keeper());
     std::vector<Thread> workers;
     for (int i = 0; i < 10; ++i) {
       workers.push_back(env.spawn("w" + std::to_string(i), nullptr, [&] {
@@ -74,7 +73,6 @@ TEST(SlotPool, ManyContendersAllServed) {
         served.fetch_add(1);
       }));
     }
-    hold.release();
     workers.clear();
   });
   EXPECT_EQ(served.load(), 10);

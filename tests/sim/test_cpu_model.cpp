@@ -29,11 +29,9 @@ TEST(CpuModel, SpeedScalesDuration) {
 TEST(CpuModel, ParallelWithinCoreBudget) {
   Env env;
   CpuDomain cpu(env.keeper(), "host", 4, 1.0);
-  auto hold = env.hold();
   std::vector<Thread> ts;
   for (int i = 0; i < 4; ++i)
     ts.push_back(env.spawn("w" + std::to_string(i), &cpu, [&] { cpu.charge(10_ms); }));
-  hold.release();
   ts.clear();  // joins all via destructors
   // 4 threads on 4 cores run fully parallel.
   EXPECT_EQ(env.now(), 10_ms);
@@ -43,11 +41,9 @@ TEST(CpuModel, ParallelWithinCoreBudget) {
 TEST(CpuModel, SaturationQueues) {
   Env env;
   CpuDomain cpu(env.keeper(), "host", 1, 1.0);
-  auto hold = env.hold();
   std::vector<Thread> ts;
   for (int i = 0; i < 3; ++i)
     ts.push_back(env.spawn("w" + std::to_string(i), &cpu, [&] { cpu.charge(10_ms); }));
-  hold.release();
   ts.clear();
   // One core, three 10ms jobs: 30ms total.
   EXPECT_EQ(env.now(), 30_ms);

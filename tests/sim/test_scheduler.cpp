@@ -41,12 +41,10 @@ TEST(EventScheduler, OrdersEventsByTimeThenFifo) {
     order.push_back(id);
     if (remaining.fetch_sub(1) == 1) cv.notify_all();
   };
-  auto hold = env.hold();
   env.scheduler().schedule_at(10_ms, [&] { record(2); });
   env.scheduler().schedule_at(5_ms, [&] { record(1); });
   env.scheduler().schedule_at(10_ms, [&] { record(3); });  // same time, later insert
   env.scheduler().schedule_at(20_ms, [&] { record(4); });
-  hold.release();
   Thread waiter = env.spawn("waiter", nullptr, [&] {
     std::unique_lock<std::mutex> lk(m);
     cv.wait(lk, [&] { return remaining.load() == 0; });
@@ -58,11 +56,9 @@ TEST(EventScheduler, OrdersEventsByTimeThenFifo) {
 TEST(EventScheduler, CancelPreventsFiring) {
   Env env;
   std::atomic<bool> fired{false};
-  auto hold = env.hold();  // keep the clock parked while we schedule + cancel
   const auto id = env.scheduler().schedule_at(10_ms, [&] { fired.store(true); });
   EXPECT_TRUE(env.scheduler().cancel(id));
   EXPECT_FALSE(env.scheduler().cancel(id));  // second cancel fails
-  hold.release();
   // Let time pass beyond the (cancelled) event.
   Thread t = env.spawn("t", nullptr, [&] { env.keeper().sleep_for(50_ms); });
   t.join();

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_name.h"
@@ -39,12 +41,68 @@ TEST(TimeKeeper, SingleThreadSleepAdvancesInstantly) {
   });
 }
 
+TEST(TimeKeeper, OutsideSpawnRunsAtFirstJoin) {
+  Env env;
+  std::atomic<bool> ran{false};
+  Thread t = env.spawn("t", nullptr, [&] {
+    ran.store(true);
+    env.keeper().sleep_for(5_ms);
+  });
+  // No engine runs the new fiber behind the spawner's back.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // doceph-lint: allow(real-time-wait) proves nothing runs between joins
+  EXPECT_FALSE(ran.load());
+  EXPECT_EQ(env.now(), 0);
+  t.join();
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(env.now(), 5_ms);
+}
+
+TEST(TimeKeeper, NothingRunsBetweenOutsideJoins) {
+  Env env;
+  std::atomic<int> ticks{0};
+  std::atomic<bool> stop{false};
+  Thread ticker = env.spawn("ticker", nullptr, [&] {
+    while (!stop.load()) {
+      env.keeper().sleep_for(1_ms);
+      ticks.fetch_add(1);
+    }
+  });
+  env.run_on_sim_thread([&] { env.keeper().sleep_for(10_ms); });
+  const int ticks_at = ticks.load();
+  EXPECT_GT(ticks_at, 0);
+  EXPECT_EQ(env.now(), 10_ms);
+  // The ticker always has a deadline, so anything that kept running the
+  // simulation after the join would move both the count and the clock.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // doceph-lint: allow(real-time-wait) proves nothing runs between joins
+  EXPECT_EQ(ticks.load(), ticks_at);
+  EXPECT_EQ(env.now(), 10_ms);
+  stop.store(true);
+  ticker.join();
+  EXPECT_EQ(env.now(), 11_ms);
+}
+
+TEST(TimeKeeper, SimThreadMayDriveAnotherKeeper) {
+  Env outer;
+  Env inner;
+  Time inner_end = -1;
+  outer.run_on_sim_thread([&] {
+    outer.keeper().sleep_for(1_ms);
+    inner.run_on_sim_thread([&] { inner.keeper().sleep_for(5_ms); });
+    inner_end = inner.now();
+    // Back on a sim thread of `outer`, whose clock did not move meanwhile.
+    EXPECT_TRUE(outer.keeper().current_thread_registered());
+    EXPECT_EQ(outer.now(), 1_ms);
+    outer.keeper().sleep_for(1_ms);
+  });
+  EXPECT_EQ(inner_end, 5_ms);
+  EXPECT_EQ(outer.now(), 2_ms);
+}
+
 TEST(TimeKeeper, TwoThreadsInterleaveByDeadline) {
   Env env;
   std::vector<Time> order;
   std::mutex m;
   {
-    auto hold = env.hold();
     Thread a = env.spawn("a", nullptr, [&] {
       env.keeper().sleep_until(10_ms);
       const std::lock_guard<std::mutex> lk(m);
@@ -60,7 +118,6 @@ TEST(TimeKeeper, TwoThreadsInterleaveByDeadline) {
       const std::lock_guard<std::mutex> lk(m);
       order.push_back(env.now());
     });
-    hold.release();
   }
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 5_ms);
@@ -75,7 +132,6 @@ TEST(TimeKeeper, CondVarNotifyWakesAtCurrentInstant) {
   bool ready = false;
   Time woke_at = -1;
 
-  auto hold = env.hold();
   Thread waiter = env.spawn("waiter", nullptr, [&] {
     std::unique_lock<std::mutex> lk(m);
     cv.wait(lk, [&] { return ready; });
@@ -89,7 +145,6 @@ TEST(TimeKeeper, CondVarNotifyWakesAtCurrentInstant) {
     }
     cv.notify_one();
   });
-  hold.release();
   waiter.join();
   signaler.join();
   EXPECT_EQ(woke_at, 30_ms);
@@ -116,7 +171,6 @@ TEST(TimeKeeper, CondVarNotifyBeatsTimeout) {
   std::mutex m;
   CondVar cv(env.keeper());
   bool got_notify = false;
-  auto hold = env.hold();
   Thread waiter = env.spawn("waiter", nullptr, [&] {
     std::unique_lock<std::mutex> lk(m);
     got_notify = cv.wait_until(lk, 100_ms);
@@ -125,7 +179,6 @@ TEST(TimeKeeper, CondVarNotifyBeatsTimeout) {
     env.keeper().sleep_for(10_ms);
     cv.notify_one();
   });
-  hold.release();
   waiter.join();
   signaler.join();
   EXPECT_TRUE(got_notify);
@@ -138,7 +191,6 @@ TEST(TimeKeeper, NotifyAllWakesEveryWaiter) {
   CondVar cv(env.keeper());
   bool go = false;
   std::atomic<int> woke{0};
-  auto hold = env.hold();
   std::vector<Thread> waiters;
   for (int i = 0; i < 5; ++i) {
     waiters.push_back(env.spawn("w" + std::to_string(i), nullptr, [&] {
@@ -155,7 +207,6 @@ TEST(TimeKeeper, NotifyAllWakesEveryWaiter) {
     }
     cv.notify_all();
   });
-  hold.release();
   for (auto& w : waiters) w.join();
   EXPECT_EQ(woke.load(), 5);
 }
@@ -166,7 +217,6 @@ TEST(TimeKeeper, NotifyOneWakesExactlyOne) {
   CondVar cv(env.keeper());
   int tokens = 0;
   std::atomic<int> consumed{0};
-  auto hold = env.hold();
   std::vector<Thread> waiters;
   for (int i = 0; i < 3; ++i) {
     waiters.push_back(env.spawn("w" + std::to_string(i), nullptr, [&] {
@@ -186,7 +236,6 @@ TEST(TimeKeeper, NotifyOneWakesExactlyOne) {
       cv.notify_one();
     }
   });
-  hold.release();
   for (auto& w : waiters) w.join();
   producer.join();
   EXPECT_EQ(consumed.load(), 3);
@@ -199,7 +248,9 @@ TEST(TimeKeeper, DeadlockDetected) {
   CondVar cv(env.keeper());
   std::atomic<bool> deadlocked{false};
   bool stop = false;
-  env.keeper().set_deadlock_grace(std::chrono::milliseconds(50));
+  // The grace period only delays stall reports: a join that runs out of
+  // runnable threads reports the deadlock at once.
+  env.keeper().set_deadlock_grace(std::chrono::hours(1));
   env.keeper().set_deadlock_handler([&](const std::string& dump) {
     deadlocked.store(true);
     EXPECT_NE(dump.find("BLOCKED"), std::string::npos);
@@ -208,8 +259,8 @@ TEST(TimeKeeper, DeadlockDetected) {
       stop = true;  // make the waiters' predicates pass before the wake-all
     }
   });
-  // Note: Env owns a scheduler thread that waits forever when idle, so two
-  // forever-waiters here mean *all* threads are blocked without deadlines.
+  // With Env's idle scheduler thread, two forever-waiters leave every sim
+  // thread blocked without a deadline while the join's target is unfinished.
   std::vector<Thread> threads;
   for (int i = 0; i < 2; ++i) {
     threads.push_back(env.spawn("dead" + std::to_string(i), nullptr, [&] {
@@ -231,7 +282,6 @@ TEST(TimeKeeper, NotifiedThreadsRunInNotifyOrder) {
   for (int i = 0; i < kWaiters; ++i)
     cvs.push_back(std::make_unique<CondVar>(env.keeper()));
 
-  auto hold = env.hold();
   std::vector<Thread> waiters;
   for (int i = 0; i < kWaiters; ++i) {
     const auto idx = static_cast<std::size_t>(i);
@@ -253,7 +303,6 @@ TEST(TimeKeeper, NotifiedThreadsRunInNotifyOrder) {
       cvs[static_cast<std::size_t>(i)]->notify_one();
     }
   });
-  hold.release();
   for (auto& w : waiters) w.join();
   notifier.join();
   EXPECT_EQ(order, (std::vector<int>{2, 0, 3, 1}));
@@ -263,7 +312,6 @@ TEST(TimeKeeper, SameDeadlineTimeoutsRunInSpawnOrder) {
   Env env;
   std::vector<int> order;  // appended by the baton holder only
   constexpr int kThreads = 5;
-  auto hold = env.hold();
   std::vector<Thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.push_back(env.spawn("t" + std::to_string(i), nullptr, [&, i] {
@@ -273,7 +321,6 @@ TEST(TimeKeeper, SameDeadlineTimeoutsRunInSpawnOrder) {
       order.push_back(i);
     }));
   }
-  hold.release();
   for (auto& t : threads) t.join();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -287,19 +334,26 @@ TEST(TimeKeeper, StalledBatonHolderReported) {
   env.keeper().set_deadlock_handler([&](const std::string& dump) {
     if (!reported.exchange(true)) report.set_value(dump);
   });
-  auto report_future = report.get_future();
+  auto report_future = report.get_future().share();
 
-  // This (unregistered) thread parks holding the mutex until the report
-  // arrives; the registered thread then blocks on it in the OS while holding
-  // the baton, so no sim thread can run: only the watchdog can notice.
-  std::unique_lock<std::mutex> parked(bare);
+  // A helper OS thread owns the mutex until the report arrives; the sim
+  // thread then blocks on it in the OS while holding the baton (and the
+  // driver's thread), so no sim thread can run: only the watchdog can
+  // notice.
+  std::promise<void> owned;
+  std::future_status status = std::future_status::timeout;
+  std::thread owner([&] {
+    const std::lock_guard<std::mutex> lk(bare);
+    owned.set_value();
+    status = report_future.wait_for(std::chrono::seconds(30));
+  });
+  owned.get_future().wait();
   Thread stuck = env.spawn("stuck", nullptr, [&] {
     env.keeper().sleep_for(1_ms);
     const std::lock_guard<std::mutex> lk(bare);
   });
-  const auto status = report_future.wait_for(std::chrono::seconds(30));
-  parked.unlock();
-  stuck.join();
+  stuck.join();  // returns once the owner lets go of the mutex
+  owner.join();
   ASSERT_EQ(status, std::future_status::ready);
   EXPECT_NE(report_future.get().find("stuck: RUNNING (baton holder)"), std::string::npos);
 }
@@ -325,7 +379,6 @@ TEST(TimeKeeper, FiberLocalStateIsPerSimThread) {
                 dbg::lockdep::is_held(&a_mutex)};
   };
 
-  auto hold = env.hold();
   Thread a = env.spawn("fiber-a", nullptr, [&] {
     dbg::UniqueLock lk(a_mutex);
     a_cv.wait(lk, [&] {
@@ -344,7 +397,6 @@ TEST(TimeKeeper, FiberLocalStateIsPerSimThread) {
     a_cv.notify_one();
     env.keeper().sleep_for(1_ms);  // park while a runs
   });
-  hold.release();
   a.join();
   b.join();
 
@@ -360,7 +412,6 @@ TEST(TimeKeeper, ManyThreadsConvergeOnSameTimeline) {
   Env env;
   constexpr int kThreads = 16;
   std::atomic<std::int64_t> sum{0};
-  auto hold = env.hold();
   std::vector<Thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.push_back(env.spawn("m" + std::to_string(i), nullptr, [&, i] {
@@ -370,7 +421,6 @@ TEST(TimeKeeper, ManyThreadsConvergeOnSameTimeline) {
       sum.fetch_add(env.now());
     }));
   }
-  hold.release();
   for (auto& t : threads) t.join();
   // Thread i finishes at 10*(i+1) ms exactly.
   std::int64_t expect = 0;
