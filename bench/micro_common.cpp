@@ -1,9 +1,10 @@
 // Google-benchmark microbenchmarks of the hot real-computation primitives:
 // crc32c (every message pays it; the run-time-selected and the software
 // kernel), bufferlist rope operations, and the denc-style encoding. These
-// run in real time (no simulation involved), except BM_KeeperHandoff, which
-// times the simulator's own cost of passing the run baton between two sim
-// threads.
+// run in real time (no simulation involved), except BM_KeeperHandoff and
+// BM_KeeperTimer, which time the simulator's own cost of passing the run
+// baton between two sim threads and of a timed callback that wakes a sim
+// thread.
 #include <benchmark/benchmark.h>
 
 #include "common/buffer.h"
@@ -144,6 +145,37 @@ void BM_KeeperHandoff(benchmark::State& state) {
                          benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_KeeperHandoff)->UseRealTime();
+
+// A device-completion round trip: a sim thread books a callback 1 us ahead
+// and waits on a CondVar that the callback notifies.
+void BM_KeeperTimer(benchmark::State& state) {
+  sim::Env env;
+  dbg::Mutex m("bench.timer");
+  dbg::CondVar cv(env.keeper(), "bench.timer_cv");
+  std::uint64_t fired = 0;
+  env.run_on_sim_thread(
+      [&] {
+        dbg::UniqueLock lk(m);
+        for (auto _ : state) {
+          const std::uint64_t want = fired + 1;
+          env.keeper().call_after(1'000, [&] {
+            const dbg::LockGuard cb_lk(m);
+            ++fired;
+            cv.notify_one();
+          });
+          cv.wait(lk, [&] {
+            m.assert_held();
+            return fired == want;
+          });
+        }
+      },
+      "waiter");
+  benchmark::DoNotOptimize(fired);
+  state.counters["per_callback"] =
+      benchmark::Counter(static_cast<double>(fired),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KeeperTimer)->UseRealTime();
 
 }  // namespace
 

@@ -56,15 +56,6 @@ BlockDevice::BlockDevice(sim::Env& env, BlockDeviceConfig cfg,
       cfg_(cfg),
       backing_(backing ? std::move(backing) : std::make_shared<DeviceBacking>()) {}
 
-BlockDevice::~BlockDevice() {  // NOLINT(bugprone-exception-escape): teardown drains in-flight IO; a throw terminates, by design
-  std::unique_lock<std::mutex> lk(gate_->m);
-  gate_->alive = false;
-  // A wrapper the scheduler thread is already executing holds no reference
-  // into *this once work() returns; wait it out (real time, bounded — the
-  // completion bodies never block).
-  gate_->cv.wait(lk, [&] { return gate_->executing == 0; });
-}
-
 void BlockDevice::fault_adjust(sim::Time& done, bool& fail) {
   auto& faults = env_.faults();
   if (!faults.any_armed()) return;
@@ -77,20 +68,10 @@ void BlockDevice::fault_adjust(sim::Time& done, bool& fail) {
 }
 
 void BlockDevice::schedule_io(sim::Time done, std::function<void()> work) {
-  env_.scheduler().schedule_at(
-      done, [gate = gate_, work = std::move(work)] {
-        {
-          const std::lock_guard<std::mutex> lk(gate->m);
-          if (!gate->alive) return;  // device died with this IO in flight
-          ++gate->executing;
-        }
-        work();
-        {
-          const std::lock_guard<std::mutex> lk(gate->m);
-          --gate->executing;
-        }
-        gate->cv.notify_all();
-      });
+  env_.keeper().call_at(done, [alive = std::weak_ptr<int>(alive_),
+                               work = std::move(work)] {
+    if (!alive.expired()) work();  // else the device died with this IO in flight
+  });
 }
 
 void BlockDevice::aio_write(std::uint64_t off, BufferList data, IoCb cb) {

@@ -1,11 +1,10 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,8 +62,10 @@ class DeviceBacking {
 };
 
 /// The simulated block device: serializes IO through one channel at the
-/// configured bandwidth plus per-IO latency; completion callbacks fire from
-/// the event scheduler at the modeled instant.
+/// configured bandwidth plus per-IO latency; completion callbacks fire as
+/// keeper timed callbacks (TimeKeeper::call_at) at the modeled instant. A
+/// crash or teardown may destroy the device with IO in flight: completions
+/// still queued on the (longer-lived) keeper are then dropped.
 class BlockDevice {
  public:
   using IoCb = std::function<void(Status)>;
@@ -72,12 +73,6 @@ class BlockDevice {
 
   BlockDevice(sim::Env& env, BlockDeviceConfig cfg,
               std::shared_ptr<DeviceBacking> backing = nullptr);
-
-  /// Disarms completions still queued on the (longer-lived) event scheduler
-  /// and waits out any completion mid-execution: a crash/teardown may destroy
-  /// the device with IO in flight, and a stale completion would otherwise
-  /// touch freed memory.
-  ~BlockDevice();
 
   BlockDevice(const BlockDevice&) = delete;
   BlockDevice& operator=(const BlockDevice&) = delete;
@@ -117,18 +112,8 @@ class BlockDevice {
     return cfg_.retain_data || off < cfg_.retain_below;
   }
 
-  /// Completion gate, shared with every scheduled completion wrapper. Plain
-  /// std primitives (not dbg::): the critical sections are tiny, real-time,
-  /// and must work from unregistered threads (test teardown).
-  struct IoGate {
-    std::mutex m;                 // doceph-lint: allow(bare-mutex) teardown gate runs on unregistered threads
-    std::condition_variable cv;   // doceph-lint: allow(bare-mutex) paired with the gate mutex above
-    bool alive = true;
-    int executing = 0;
-  };
-
   /// Schedule `work` at simulated time `done`; `work` is dropped if the
-  /// device is destroyed first, and the destructor waits for it otherwise.
+  /// device is destroyed first.
   void schedule_io(sim::Time done, std::function<void()> work);
 
   /// Consult "bdev.io_error" / "bdev.latency_spike" fault points for one IO.
@@ -138,7 +123,9 @@ class BlockDevice {
   BlockDeviceConfig cfg_;
   std::shared_ptr<DeviceBacking> backing_;
   sim::SerialResource channel_;
-  std::shared_ptr<IoGate> gate_ = std::make_shared<IoGate>();
+  /// Each scheduled completion holds a weak_ptr to this, which expires when
+  /// the device dies. Callbacks never block, so none can then be mid-body.
+  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> bytes_read_{0};
 };

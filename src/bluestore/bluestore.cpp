@@ -309,7 +309,7 @@ void BlueStore::queue_transaction(os::Transaction txn, OnCommit on_commit) {
   for (auto& [off, data] : writes) {
     const std::uint64_t bytes = data.length();
     dev_->aio_write(off, std::move(data), [this, txc, bytes](Status st) {
-      // Device completion arrives on the event scheduler thread, which must
+      // Device completion arrives on the keeper's timer fiber, which must
       // never block; hand the (CPU-charged) completion work to "bstore_aio".
       aio_enqueue([this, txc, bytes, st] {
         if (domain_ != nullptr)

@@ -187,7 +187,7 @@ class BlueStore final : public os::ObjectStore {
   void finish_txc(const TxRef& txc, Status st);
 
   /// Hand a completion task to the "bstore_aio" thread (device callbacks run
-  /// on the event scheduler, which must never block or charge CPU).
+  /// on the keeper's timer fiber, which must never block or charge CPU).
   void aio_enqueue(std::function<void()> task);
   void aio_thread_loop();
   void start_aio_thread();

@@ -56,26 +56,13 @@ RadosClient::RadosClient(sim::Env& env, net::Fabric& fabric, net::NetNode& node,
 
 RadosClient::~RadosClient() {  // NOLINT(bugprone-exception-escape): teardown disarms timers; a throw terminates, by design
   shutdown();
-  // Disarm pending timers (they outlive us on the scheduler) and wait out
-  // any timer body already executing.
-  std::unique_lock<std::mutex> lk(timer_gate_->m);
-  timer_gate_->alive = false;
-  timer_gate_->cv.wait(lk, [&] { return timer_gate_->executing == 0; });
+  alive_.reset();  // disarm pending timers: they outlive us on the keeper
 }
 
 void RadosClient::schedule_guarded(sim::Duration delay, std::function<void()> fn) {
-  env_.scheduler().schedule_after(delay, [gate = timer_gate_, fn = std::move(fn)] {
-    {
-      const std::lock_guard<std::mutex> lk(gate->m);
-      if (!gate->alive) return;  // client destroyed with the timer pending
-      ++gate->executing;
-    }
-    fn();
-    {
-      const std::lock_guard<std::mutex> lk(gate->m);
-      --gate->executing;
-    }
-    gate->cv.notify_all();
+  env_.keeper().call_after(delay, [alive = std::weak_ptr<int>(alive_),
+                                    fn = std::move(fn)] {
+    if (!alive.expired()) fn();  // else the client died with the timer pending
   });
 }
 

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "common/admin_socket.h"
 #include "common/perf_counters.h"
@@ -160,16 +158,8 @@ class RadosClient final : public msgr::Dispatcher {
   /// Send ops waiting in admit_queue_ while the window has room.
   void admit_waiters();
 
-  /// Timer lifecycle gate (BlockDevice::IoGate pattern): scheduled retry /
-  /// timeout lambdas capture `this`, and the scheduler outlives the client.
-  /// Plain std primitives — must work from unregistered teardown threads.
-  struct TimerGate {
-    std::mutex m;                 // doceph-lint: allow(bare-mutex) teardown gate runs on unregistered threads
-    std::condition_variable cv;   // doceph-lint: allow(bare-mutex) paired with the gate mutex above
-    bool alive = true;
-    int executing = 0;
-  };
-  /// Run `fn` after `delay` unless the client has been destroyed.
+  /// Run `fn` after `delay` unless the client has been destroyed: retry and
+  /// timeout timers capture `this`, and the keeper outlives the client.
   void schedule_guarded(sim::Duration delay, std::function<void()> fn);
 
   sim::Env& env_;
@@ -189,7 +179,9 @@ class RadosClient final : public msgr::Dispatcher {
   int admitted_ DOCEPH_GUARDED_BY(mutex_) = 0;
   std::deque<std::uint64_t> admit_queue_ DOCEPH_GUARDED_BY(mutex_);
 
-  std::shared_ptr<TimerGate> timer_gate_ = std::make_shared<TimerGate>();
+  /// Reset once the destructor has shut down; each pending timer holds a
+  /// weak_ptr. Timers never block, so none can be mid-body at that point.
+  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 
   osd::OpTracker tracker_;
   perf::PerfCountersRef counters_;

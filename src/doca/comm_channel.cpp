@@ -126,7 +126,7 @@ Status CommChannel::send(BufferList msg) {
     arrival = std::max(arrival,
                        sim::Time{c.min_deliver[to].load(std::memory_order_relaxed)});
   }
-  c.env.scheduler().schedule_at(
+  c.env.keeper().call_at(
       arrival, [core = core_, to, msg = std::move(msg)]() mutable {
         core->deliver(to, std::move(msg));
       });

@@ -94,7 +94,7 @@ Status DmaEngine::submit_sg(const std::vector<DmaExtent>& extents, DmaDir dir,
                                     extents.begin() + p.first + p.count);
     std::vector<char> pass_fail(fail.begin() + p.first,
                                 fail.begin() + p.first + p.count);
-    env_.scheduler().schedule_at(
+    env_.keeper().call_at(
         done, [this, first = p.first, pass_ext = std::move(pass_ext),
                pass_fail = std::move(pass_fail), fan_out] {
           inflight_.fetch_sub(1);

@@ -19,7 +19,7 @@ EventCenter::EventCenter(sim::Env& env)
   handle_state_->center = this;
 }
 
-EventCenter::~EventCenter() {  // NOLINT(bugprone-exception-escape): teardown joins the loop thread; a throw terminates, by design
+EventCenter::~EventCenter() {  // NOLINT(bugprone-exception-escape): teardown orphans the dispatch handles under their lock; a throw terminates, by design
   const dbg::LockGuard lk(handle_state_->m);
   handle_state_->center = nullptr;
 }

@@ -31,7 +31,7 @@ class EventCenter {
   EventCenter(const EventCenter&) = delete;
   EventCenter& operator=(const EventCenter&) = delete;
 
-  /// A weak dispatch handle. Deliveries booked on the simulation scheduler
+  /// A weak dispatch handle. Deliveries booked as keeper timed callbacks
   /// (socket data, accept handshakes) can fire after the center that should
   /// receive them is destroyed; a raw EventCenter* there is a use-after-free.
   /// A Handle dispatches while the center is alive and silently drops the

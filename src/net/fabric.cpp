@@ -160,7 +160,7 @@ Result<std::size_t> Socket::send(BufferList& bl) {
 
   auto core = core_;
   const int side = side_;
-  c.env.scheduler().schedule_at(rx_done, [core, side, data = std::move(data)]() mutable {
+  c.env.keeper().call_at(rx_done, [core, side, data = std::move(data)]() mutable {
     const dbg::LockGuard lk(core->m);
     Core::Half& h = core->half[side];
     h.q_bytes += data.length();
@@ -330,7 +330,7 @@ Result<SocketRef> Fabric::connect(NetNode& from, Address to) {
   // Handshake: the acceptor learns about the connection one wire latency
   // later (SYN). Data sent immediately by the client also rides the wire, so
   // ordering is preserved by delivery timestamps.
-  env_.scheduler().schedule_after(from.nic().latency, [listener, server]() mutable {
+  env_.keeper().call_after(from.nic().latency, [listener, server]() mutable {
     listener.center.dispatch(
         [on_accept = listener.on_accept, server = std::move(server)]() mutable {
           on_accept(std::move(server));

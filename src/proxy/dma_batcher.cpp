@@ -226,7 +226,7 @@ void DmaBatcher::flush(std::vector<Entry> batch, std::optional<int> got) {
   const Status submitted = dpu_.dma().submit_sg(
       extents, doca::DmaDir::dpu_to_host,
       [this, bs](std::size_t index, Status st) {
-        // Scheduler thread; per-pass fan-out arrives serially.
+        // Timer fiber; per-pass fan-out arrives serially.
         bs->statuses[index] = std::move(st);
         if (--bs->remaining == 0) finish_batch(bs);
       },

@@ -6,28 +6,26 @@
 #include "common/fault.h"
 #include "common/trace.h"
 #include "sim/rng.h"
-#include "sim/scheduler.h"
 #include "sim/stats.h"
 #include "sim/thread.h"
 #include "sim/time_keeper.h"
 
 namespace doceph::sim {
 
-/// One simulation universe: clock + thread stats + timed-event service +
-/// seed. Everything in a cluster (fabric, daemons, devices, benches) hangs
-/// off one Env; tests create a fresh Env each and destroy it at the end.
+/// One simulation universe: clock (with its timed callbacks, see
+/// TimeKeeper::call_at) + thread stats + seed. Everything in a cluster
+/// (fabric, daemons, devices, benches) hangs off one Env; tests create a
+/// fresh Env each and destroy it at the end.
 class Env {
  public:
   explicit Env(TimeKeeper::Mode mode = TimeKeeper::Mode::virtual_time,
                std::uint64_t seed = 42)
-      : keeper_(mode), scheduler_(keeper_, stats_), seed_(seed), faults_(seed),
-        tracer_(seed) {
+      : keeper_(mode), seed_(seed), faults_(seed), tracer_(seed) {
     tracer_.set_clock([this] { return keeper_.now(); });
   }
 
   [[nodiscard]] TimeKeeper& keeper() noexcept { return keeper_; }
   [[nodiscard]] StatsRegistry& stats() noexcept { return stats_; }
-  [[nodiscard]] EventScheduler& scheduler() noexcept { return scheduler_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
   /// Deterministic fault-injection registry shared by every component in
@@ -66,7 +64,6 @@ class Env {
  private:
   TimeKeeper keeper_;
   StatsRegistry stats_;
-  EventScheduler scheduler_;
   std::uint64_t seed_;
   fault::FaultRegistry faults_;
   trace::Tracer tracer_;

@@ -131,12 +131,23 @@ TimeKeeper::TimeKeeper(Mode /*mode*/) : watchdog_([this] { watchdog_loop(); }) {
   mallopt(M_MMAP_THRESHOLD, 32 << 20);
   mallopt(M_TRIM_THRESHOLD, 64 << 20);
 #endif
+  // Registered first, so due callbacks run before the threads due with them.
+  timer_ = spawn("sim-scheduler", ExecContext{this, nullptr, nullptr},
+                 [this] { timer_loop(); });
 }
 
-TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stops the watchdog; a throw terminates, by design
+TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown joins the timer fiber and the watchdog; a throw terminates, by design
+  {
+    const dbg::LockGuard lock(mutex_);
+    timers_stopping_ = true;
+    notify_locked(*timer_);
+  }
+  join(timer_);
+  decltype(timers_) dropped;  // destroyed below, with the keeper unlocked
   {
     const dbg::LockGuard lock(mutex_);
     assert(threads_.empty() && "threads still registered at TimeKeeper teardown");
+    dropped.swap(timers_);
     watchdog_stop_ = true;
     watchdog_cv_.notify_all();
   }
@@ -209,8 +220,8 @@ void TimeKeeper::join(ThreadRec* rec) {
       lk.lock();
     }
     if (current_thread_registered()) {
-      ThreadRec& self = current_rec();
       while (!rec->finished) {
+        ThreadRec& self = current_rec("sim::Thread::join");
         rec->joiners.push_back(&self);
         (void)wait_locked(lk, self, kTimeInfinity);
         // A blanket wake (deadlock handler) leaves us queued; drop the entry.
@@ -342,19 +353,69 @@ void TimeKeeper::set_deadlock_grace(std::chrono::milliseconds grace) {
   watchdog_cv_.notify_all();  // restart the stall sampling period
 }
 
-TimeKeeper::ThreadRec& TimeKeeper::current_rec() {
+TimeKeeper::ThreadRec& TimeKeeper::current_rec(const char* what) {
   assert(t_keeper == this &&
          "only a sim thread of this TimeKeeper may block in it");
-  return *static_cast<ThreadRec*>(t_rec);
+  auto& rec = *static_cast<ThreadRec*>(t_rec);
+  if (&rec == timer_) {
+    // Every due callback and thread waits behind a blocked timer fiber.
+    std::fprintf(stderr,
+                 "FATAL: %s on the timer fiber: a TimeKeeper::call_at callback "
+                 "must never block (sleep, CondVar wait, join)\n",
+                 what);
+    std::abort();
+  }
+  return rec;
 }
 
 void TimeKeeper::sleep_for(Duration d) { sleep_until(now() + std::max<Duration>(d, 0)); }
 
 void TimeKeeper::sleep_until(Time t) {
-  ThreadRec& rec = current_rec();
+  ThreadRec& rec = current_rec("sim::TimeKeeper::sleep_until");
   dbg::lockdep::cond_wait_check(nullptr, "sim::TimeKeeper::sleep_until");
   dbg::UniqueLock lk(mutex_);
   (void)wait_locked(lk, rec, t);
+}
+
+void TimeKeeper::call_at(Time t, std::function<void()> cb) {
+  const dbg::LockGuard lock(mutex_);
+  timers_.emplace(t, std::move(cb));
+  // A running or queued timer fiber looks at the queue before it blocks
+  // again; a blocked one waits for its deadline, so lower that in place. A
+  // callback in the future thus costs no handoff.
+  if (!timer_->blocked || t >= timer_->deadline) return;
+  if (t <= now_) {
+    notify_locked(*timer_);
+  } else {
+    timer_->deadline = t;
+  }
+}
+
+void TimeKeeper::call_after(Duration d, std::function<void()> cb) {
+  call_at(now() + std::max<Duration>(d, 0), std::move(cb));
+}
+
+void TimeKeeper::timer_loop() {
+  ThreadRec& self = *timer_;
+  std::vector<std::function<void()>> due;
+  dbg::UniqueLock lk(mutex_);
+  while (!timers_stopping_) {
+    // Take everything due, then run it unlocked; what these callbacks
+    // schedule at or before now runs in the next round.
+    while (!timers_.empty() && timers_.begin()->first <= now_) {
+      due.push_back(std::move(timers_.begin()->second));
+      timers_.erase(timers_.begin());
+    }
+    if (due.empty()) {
+      (void)wait_locked(lk, self,
+                        timers_.empty() ? kTimeInfinity : timers_.begin()->first);
+      continue;
+    }
+    lk.unlock();
+    for (auto& cb : due) cb();
+    due.clear();  // captures die unlocked too
+    lk.lock();
+  }
 }
 
 bool TimeKeeper::wait_locked(dbg::UniqueLock& lk, ThreadRec& rec,
@@ -473,7 +534,7 @@ void CondVar::wait(std::unique_lock<std::mutex>& user_lock) {
 
 bool CondVar::wait_until(std::unique_lock<std::mutex>& user_lock, Time deadline,
                          const void* tracked_mutex, const char* what) {
-  TimeKeeper::ThreadRec& rec = tk_.current_rec();
+  TimeKeeper::ThreadRec& rec = tk_.current_rec(what);
   dbg::lockdep::cond_wait_check(tracked_mutex, what);
   dbg::UniqueLock lk(tk_.mutex_);
   waiters_.push_back(&rec);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,6 +35,9 @@ class CondVar;
 ///  - When the queue is empty and every sim thread is blocked, the keeper
 ///    advances the clock to the earliest wake deadline and queues the
 ///    threads due then in registration (spawn) order.
+///  - Timed callbacks (call_at) run on the keeper's own timer fiber, which
+///    the constructor registers first: the callbacks due at an instant run
+///    before every sim thread due at that instant.
 ///
 /// The fibers run on the OS thread of the *driver*: the outside thread (a
 /// test's main, a bench, an example) that joins a sim thread, as
@@ -79,6 +83,15 @@ class TimeKeeper {
   /// Block the calling sim thread for `d` of simulated time.
   void sleep_for(Duration d);
   void sleep_until(Time t);
+
+  /// Run `cb` at simulated time `t` on the keeper's timer fiber (as soon as
+  /// the fiber gets the baton when `t` is not in the future). Device models
+  /// use it for completions. Callbacks run in time order, then insertion
+  /// order, with the keeper unlocked: they may lock, notify and schedule
+  /// more, but never block. A sleep, CondVar wait or join on the timer
+  /// fiber aborts. Pending callbacks are dropped at keeper teardown.
+  void call_at(Time t, std::function<void()> cb);
+  void call_after(Duration d, std::function<void()> cb);
 
   [[nodiscard]] int registered_threads() const;
 
@@ -140,8 +153,13 @@ class TimeKeeper {
   /// Requires `lk` to hold mutex_.
   void drive_locked(dbg::UniqueLock& lk, ThreadRec& target);
 
-  /// Returns the caller's record; requires it to be a sim thread of *this*.
-  ThreadRec& current_rec();
+  /// Returns the record of the caller, about to block in `what`; requires it
+  /// to be a sim thread of *this* other than the timer fiber.
+  ThreadRec& current_rec(const char* what);
+
+  /// The timer fiber's body: run the due callbacks, then block until the
+  /// earliest pending one (or a due call_at) wakes it.
+  void timer_loop();
 
   /// Core wait: blocks rec until notified or simulated `deadline` passes,
   /// handing the baton on meanwhile. Requires `lk` to hold mutex_ and rec to
@@ -189,6 +207,13 @@ class TimeKeeper {
   std::uint64_t advances_ = 0;       // clock advances
   std::size_t peak_threads_ = 0;
   std::function<void(const std::string&)> deadlock_handler_;
+
+  // Timed callbacks, by time then insertion order (multimap emplace goes
+  // to the end of an equal range). `timer_` is the fiber that runs them;
+  // while it is blocked its deadline is the earliest key here.
+  std::multimap<Time, std::function<void()>> timers_;
+  ThreadRec* timer_ = nullptr;
+  bool timers_stopping_ = false;
 
   // Driver. `driver_` is the context of the outside thread inside
   // drive_locked() (null when none is), `target_` the thread it waits for.

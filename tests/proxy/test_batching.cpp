@@ -118,7 +118,7 @@ TEST(RpcBatching, DeadlineFlushesStragglers) {
   f.server->set_request_handler([&](BufferList req, bool,
                                     RpcChannel::Responder respond,
                                     const trace::TraceContext&) {
-    f.env.scheduler().schedule_after(
+    f.env.keeper().call_after(
         5'000'000, [req = std::move(req), respond = std::move(respond)]() mutable {
           respond(std::move(req));
         });

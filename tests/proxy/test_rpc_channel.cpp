@@ -132,11 +132,11 @@ TEST(RpcChannel, CallTimesOutWithoutServer) {
 
 TEST(RpcChannel, DelayedResponseCompletesLater) {
   RpcFixture f;
-  // Server answers 20 ms later from the scheduler (like a commit callback).
+  // Server answers 20 ms later from a timed callback (like a commit callback).
   f.server->set_request_handler([&](BufferList req, bool,
                                     RpcChannel::Responder respond,
                                     const trace::TraceContext&) {
-    f.env.scheduler().schedule_after(
+    f.env.keeper().call_after(
         20'000'000, [req = std::move(req), respond = std::move(respond)]() mutable {
           respond(std::move(req));
         });

@@ -36,7 +36,7 @@ TEST(SlotPool, BlockedAcquireWaitsAndAccounts) {
   run_sim(env, [&] {
     const int a = pool.acquire();
     // Free the slot 5 ms from now.
-    env.scheduler().schedule_after(5'000'000, [&, a] { pool.release(a); });
+    env.keeper().call_after(5'000'000, [&, a] { pool.release(a); });
     const Time t0 = env.now();
     const int b = pool.acquire();  // blocks until the release
     EXPECT_EQ(env.now() - t0, 5'000'000);

@@ -259,7 +259,7 @@ TEST(TimeKeeper, DeadlockDetected) {
       stop = true;  // make the waiters' predicates pass before the wake-all
     }
   });
-  // With Env's idle scheduler thread, two forever-waiters leave every sim
+  // With the keeper's idle timer fiber, two forever-waiters leave every sim
   // thread blocked without a deadline while the join's target is unfinished.
   std::vector<Thread> threads;
   for (int i = 0; i < 2; ++i) {
